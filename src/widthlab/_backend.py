@@ -1,43 +1,13 @@
-"""Backend selection for the accelerated kernels.
+"""Which kernel build runs, for run manifests.
 
-Kernels in :mod:`widthlab._kernels` come in two flavours: a numba
-``@njit`` build and a pure numpy/python fallback with identical
-semantics. The flavour is chosen per call from the ``WIDTHLAB_BACKEND``
-environment variable:
-
-* unset or ``numba``: jitted kernels when numba is importable,
-  fallback otherwise;
-* ``python`` (also accepted: ``numpy``, ``fallback``): force the
-  fallback path.
-
-``benchmarks/bench_kernels.py`` times the two paths against each other.
+Every kernel in :mod:`widthlab._kernels` has a single implementation.
+No numba kernel exists, so nothing is jitted and there is no backend
+to choose.
 """
 
-from __future__ import annotations
-
-import os
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - image always ships numba
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):  # type: ignore[misc]
-        """No-op decorator standing in for numba.njit."""
-
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
+HAVE_NUMBA = False
 
 
 def use_numba() -> bool:
-    """True when the jitted kernel build should run for the current call."""
-    mode = os.environ.get("WIDTHLAB_BACKEND", "numba").strip().lower()
-    if mode in ("python", "numpy", "fallback"):
-        return False
-    return HAVE_NUMBA
+    """Always False: no numba kernel exists."""
+    return False

@@ -1,10 +1,19 @@
 """Hot kernels: subset dynamic programs, boundary sweeps, certificate scans.
 
-Vertex subsets are uint64 bitmasks (no oracle here admits more than 25
-vertices), so one word holds a whole subset and floods/boundaries are a
-handful of bitwise operations. Each kernel has a numba build (``*_nb``)
-and a pure-python/numpy fallback (``*_py``); the public wrappers pick
-one per call via :func:`widthlab._backend.use_numba`.
+Every kernel has one implementation, in numpy (the bramble
+connectivity scan floods Python integers); nothing is jitted. In the
+subset DPs a vertex subset is an int64 bitmask (no oracle here admits
+more than 25 vertices), so one word holds a whole subset and
+floods/boundaries are a handful of bitwise operations on arrays of
+subsets.
+
+The subset DPs visit the 2^n subsets in descending popcount layers, so
+a subset is processed after all of its supersets. A layer is enumerated
+in blocks of (high-half subsets of popcount a) x (low-half subsets of
+popcount k - a), at most 2^15 subsets per block, and the neighbour
+union of a subset is two lookups in half-width tables. The only arrays
+with 2^n entries are therefore the int8 tables the DPs return (and, in
+the separation DP, one working table).
 
 Table semantics shared by the subset DPs: for an eliminated/placed set
 ``S`` (bitmask), ``table[S]`` is the best achievable cost over all ways
@@ -17,357 +26,173 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._backend import njit, use_numba
+from ._bits import popcount_u32
+
+_BLOCK = 1 << 15  # most subsets held in one block
 
 
-# ----------------------------------------------------------------------
-# numba builds
-# ----------------------------------------------------------------------
+def _by_popcount(bits: int) -> list:
+    """The subsets of range(bits) as int64 arrays, indexed by popcount."""
+    subsets = np.arange(1 << bits, dtype=np.int64)
+    pop = popcount_u32(subsets)
+    return [subsets[pop == k] for k in range(bits + 1)]
 
 
-@njit(cache=True)
-def _popcount64(x):
-    x = x - ((x >> np.uint64(1)) & np.uint64(0x5555555555555555))
-    x = (x & np.uint64(0x3333333333333333)) + ((x >> np.uint64(2)) & np.uint64(0x3333333333333333))
-    x = (x + (x >> np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
-    return (x * np.uint64(0x0101010101010101)) >> np.uint64(56)
+def _layer_blocks(n: int):
+    """Yield ``(k, subsets)`` covering every subset of range(n) once, k = popcount descending."""
+    low = n // 2
+    lo, hi = _by_popcount(low), _by_popcount(n - low)
+    for k in range(n, -1, -1):
+        pieces, size = [], 0  # small pieces of one layer share a block: fewer numpy calls
+        for a in range(max(0, k - low), min(k, n - low) + 1):
+            los = lo[k - a]
+            his = hi[a] << low
+            rows = max(1, _BLOCK // len(los))
+            for i in range(0, len(his), rows):
+                piece = (his[i : i + rows, None] | los[None, :]).ravel()
+                if size + len(piece) > _BLOCK:
+                    block, pieces, size = np.concatenate(pieces), [], 0
+                    yield k, block
+                pieces.append(piece)
+                size += len(piece)
+        yield k, np.concatenate(pieces)
 
 
-@njit(cache=True)
-def _ctz64(x):
-    # index of lowest set bit; x must be nonzero
-    return _popcount64((x & (~x + np.uint64(1))) - np.uint64(1))
+def _neighbour_union(nbrs, n: int):
+    """nb(X), the union of the neighbourhoods of the vertices in each subset X."""
+    low = n // 2
+    tables = []
+    for part in (nbrs[:low], nbrs[low:]):
+        tab = np.zeros(1, dtype=np.int64)
+        for m in part:
+            tab = np.concatenate([tab, tab | int(m)])
+        tables.append(tab)
+    lo, hi = tables
+    mask = (1 << low) - 1
+    return lambda x: lo[x & mask] | hi[x >> low]
 
 
-@njit(cache=True)
-def _elim_table_nb(nbrs, n):
-    full = (np.uint64(1) << np.uint64(n)) - np.uint64(1)
-    size = 1 << n
-    g = np.empty(size, dtype=np.int8)
-    g[size - 1] = -1
-    comp_mask = np.empty(n, dtype=np.uint64)
-    comp_ext = np.empty(n, dtype=np.uint64)
-    for si in range(size - 2, -1, -1):
-        s = np.uint64(si)
-        # connected components of the eliminated set and their outside reach
-        ncomp = 0
-        rem = s
-        while rem:
-            seed = rem & (~rem + np.uint64(1))
-            comp = seed
-            stack = seed
-            ext = np.uint64(0)
-            while stack:
-                b = stack & (~stack + np.uint64(1))
-                stack ^= b
-                v = _ctz64(b)
-                nv = nbrs[v]
-                ext |= nv
-                grow = nv & s & ~comp
-                comp |= grow
-                stack |= grow
-            comp_mask[ncomp] = comp
-            comp_ext[ncomp] = ext & ~s
-            ncomp += 1
-            rem &= ~comp
-        best = np.int8(127)
-        for v in range(n):
-            bit = np.uint64(1) << np.uint64(v)
-            if s & bit:
-                continue
-            reach = nbrs[v]
-            for c in range(ncomp):
-                if nbrs[v] & comp_mask[c]:
-                    reach |= comp_ext[c]
-            q = np.int8(_popcount64(reach & ~(s | bit) & full))
-            sub = g[si | (1 << v)]
-            w = q if q > sub else sub
-            if w < best:
-                best = w
-        g[si] = best
-    return g
+def elim_table(nbrs: np.ndarray, n: int) -> np.ndarray:
+    """Suffix table of the elimination-width DP (treewidth).
 
-
-@njit(cache=True)
-def _boundary_table_nb(nbrs, n):
-    size = 1 << n
-    b = np.empty(size, dtype=np.int8)
-    b[0] = 0
-    for si in range(1, size):
-        s = np.uint64(si)
-        cnt = 0
-        m = s
-        while m:
-            bbit = m & (~m + np.uint64(1))
-            m ^= bbit
-            v = _ctz64(bbit)
-            if nbrs[v] & ~s:
-                cnt += 1
-        b[si] = cnt
-    return b
-
-
-@njit(cache=True)
-def _sep_table_nb(b, n):
-    size = 1 << n
-    h = np.empty(size, dtype=np.int8)
-    h[size - 1] = 0
-    for si in range(size - 2, -1, -1):
-        best = np.int8(127)
+    Eliminating v after S costs q(S, v) = |N(C) \\ C|, where C is the
+    component of v in G[S + v]: every neighbour of C inside S belongs
+    to C, so N(C) \\ C is exactly the set v is joined to by fill edges.
+    """
+    nb = _neighbour_union(nbrs, n)
+    g = np.empty(1 << n, dtype=np.int8)
+    g[-1] = -1
+    for k, s in _layer_blocks(n):
+        if k == n:
+            continue
+        best = np.full(len(s), 127, dtype=np.int8)
         for v in range(n):
             bit = 1 << v
-            if si & bit:
-                continue
-            nxt = si | bit
-            w = b[nxt] if b[nxt] > h[nxt] else h[nxt]
-            if w < best:
-                best = w
-        h[si] = best
-    return h
-
-
-@njit(cache=True)
-def _bv_table_nb(nbrs, n):
-    best = np.full(n + 1, 2147483647, dtype=np.int64)
-    size = 1 << n
-    for si in range(size):
-        s = np.uint64(si)
-        nb = np.uint64(0)
-        m = s
-        cnt = 0
-        while m:
-            bbit = m & (~m + np.uint64(1))
-            m ^= bbit
-            nb |= nbrs[_ctz64(bbit)]
-            cnt += 1
-        phi = np.int64(_popcount64(nb & ~s))
-        if phi < best[cnt]:
-            best[cnt] = phi
-    return best
-
-
-@njit(cache=True)
-def _bag_occurrence_nb(flat, offsets, nverts):
-    nbags = offsets.shape[0] - 1
-    lo = np.full(nverts, -1, dtype=np.int64)
-    hi = np.full(nverts, -1, dtype=np.int64)
-    count = np.zeros(nverts, dtype=np.int64)
-    dup = np.zeros(nverts, dtype=np.int64)
-    for b in range(nbags):
-        for idx in range(offsets[b], offsets[b + 1]):
-            v = flat[idx]
-            if hi[v] == b and count[v] > 0:
-                dup[v] += 1
-                continue
-            count[v] += 1
-            if lo[v] < 0:
-                lo[v] = b
-            hi[v] = b
-    return lo, hi, count, dup
-
-
-@njit(cache=True)
-def _closure_rows_nb(packed, eu, ev):
-    m, _ = packed.shape
-    clo = packed.copy()
-    one = np.uint64(1)
-    for i in range(m):
-        for e in range(eu.shape[0]):
-            u = eu[e]
-            v = ev[e]
-            if (packed[i, u >> 6] >> np.uint64(u & 63)) & one:
-                clo[i, v >> 6] |= one << np.uint64(v & 63)
-            if (packed[i, v >> 6] >> np.uint64(v & 63)) & one:
-                clo[i, u >> 6] |= one << np.uint64(u & 63)
-    return clo
-
-
-@njit(cache=True)
-def _connected_rows_nb(packed, nbr_words):
-    m, words = packed.shape
-    one = np.uint64(1)
-    stack = np.empty(64 * words, dtype=np.int64)
-    comp = np.empty(words, dtype=np.uint64)
-    for i in range(m):
-        seed = -1
-        for w in range(words):
-            comp[w] = np.uint64(0)
-            if seed < 0 and packed[i, w]:
-                seed = 64 * w + int(_ctz64(packed[i, w]))
-        if seed < 0:
-            return i  # empty set: not a connected subgraph
-        comp[seed >> 6] |= one << np.uint64(seed & 63)
-        stack[0] = seed
-        size = 1
-        while size:
-            size -= 1
-            v = stack[size]
-            for w in range(words):
-                grow = nbr_words[v, w] & packed[i, w] & ~comp[w]
-                while grow:
-                    b = grow & (~grow + one)
-                    grow ^= b
-                    comp[w] |= b
-                    stack[size] = 64 * w + int(_ctz64(b))
-                    size += 1
-        for w in range(words):
-            if comp[w] != packed[i, w]:
-                return i
-    return -1
-
-
-@njit(cache=True)
-def _touch_scan_nb(closures, sets):
-    m = sets.shape[0]
-    words = sets.shape[1]
-    for i in range(m):
-        for j in range(i + 1, m):
-            hit = False
-            for w in range(words):
-                if closures[i, w] & sets[j, w]:
-                    hit = True
+            idx = np.flatnonzero((s & bit) == 0)
+            sv = s[idx]
+            comp = bit | (int(nbrs[v]) & sv)
+            while True:  # flood C <- C | (nb(C) & S) to the fixed point
+                reach = nb(comp)
+                grown = comp | (reach & sv)
+                if np.array_equal(grown, comp):
                     break
-            if not hit:
-                return i, j
-    return -1, -1
-
-
-# ----------------------------------------------------------------------
-# fallbacks (python bigints / numpy)
-# ----------------------------------------------------------------------
-
-
-def _elim_table_py(nbrs, n):
-    masks = [int(x) for x in nbrs]
-    full = (1 << n) - 1
-    size = 1 << n
-    g = np.empty(size, dtype=np.int8)
-    g[size - 1] = -1
-    for s in range(size - 2, -1, -1):
-        comps = []
-        rem = s
-        while rem:
-            seed = rem & -rem
-            comp = seed
-            stack = seed
-            ext = 0
-            while stack:
-                b = stack & -stack
-                stack ^= b
-                nv = masks[b.bit_length() - 1]
-                ext |= nv
-                grow = nv & s & ~comp
-                comp |= grow
-                stack |= grow
-            comps.append((comp, ext & ~s))
-            rem &= ~comp
-        best = 127
-        m = full & ~s
-        while m:
-            b = m & -m
-            m ^= b
-            v = b.bit_length() - 1
-            reach = masks[v]
-            for comp, ext in comps:
-                if masks[v] & comp:
-                    reach |= ext
-            q = (reach & ~(s | (1 << v)) & full).bit_count()
-            sub = g[s | (1 << v)]
-            w = q if q > sub else sub
-            if w < best:
-                best = w
+                comp = grown
+            q = popcount_u32(reach & ~comp)
+            best[idx] = np.minimum(best[idx], np.maximum(q, g[sv | bit]))
         g[s] = best
     return g
 
 
-def _boundary_table_py(nbrs, n):
-    masks = [int(x) for x in nbrs]
-    size = 1 << n
-    b = np.empty(size, dtype=np.int8)
-    b[0] = 0
-    for s in range(1, size):
-        cnt = 0
-        m = s
-        while m:
-            bit = m & -m
-            m ^= bit
-            if masks[bit.bit_length() - 1] & ~s:
-                cnt += 1
-        b[s] = cnt
+def boundary_table(nbrs: np.ndarray, n: int) -> np.ndarray:
+    """Inner-boundary size of every vertex subset: |S & N(V \\ S)|."""
+    nb = _neighbour_union(nbrs, n)
+    full = (1 << n) - 1
+    b = np.empty(1 << n, dtype=np.int8)
+    for _, s in _layer_blocks(n):
+        b[s] = popcount_u32(s & nb(full ^ s))
     return b
 
 
-def _sep_table_py(b, n):
-    size = 1 << n
-    h = np.empty(size, dtype=np.int8)
-    h[size - 1] = 0
-    bs = b
-    for s in range(size - 2, -1, -1):
-        best = 127
+def sep_table(boundary: np.ndarray, n: int) -> np.ndarray:
+    """Suffix table of the vertex-separation DP (pathwidth)."""
+    h = np.empty(1 << n, dtype=np.int8)
+    h[-1] = 0
+    # done[T] = max(boundary[T], h[T]) once T's layer is done; 127 before,
+    # so that v already in S (S | bit == S) never wins the minimum
+    done = np.full(1 << n, 127, dtype=np.int8)
+    done[-1] = max(int(boundary[-1]), 0)
+    for k, s in _layer_blocks(n):
+        if k == n:
+            continue
+        best = np.full(len(s), 127, dtype=np.int8)
         for v in range(n):
-            bit = 1 << v
-            if s & bit:
-                continue
-            nxt = s | bit
-            w = bs[nxt] if bs[nxt] > h[nxt] else h[nxt]
-            if w < best:
-                best = w
+            np.minimum(best, done[s | (1 << v)], out=best)
         h[s] = best
+        done[s] = np.maximum(boundary[s], best)
     return h
 
 
-def _bv_table_py(nbrs, n):
-    masks = [int(x) for x in nbrs]
-    best = [None] * (n + 1)
-    for s in range(1 << n):
-        nb = 0
-        m = s
-        cnt = 0
-        while m:
-            bit = m & -m
-            m ^= bit
-            nb |= masks[bit.bit_length() - 1]
-            cnt += 1
-        phi = (nb & ~s & ((1 << n) - 1)).bit_count()
-        if best[cnt] is None or phi < best[cnt]:
-            best[cnt] = phi
-    return np.asarray(best, dtype=np.int64)
+def bv_table(nbrs: np.ndarray, n: int) -> np.ndarray:
+    """Minimum outer boundary per subset size, exhaustively over all subsets."""
+    nb = _neighbour_union(nbrs, n)
+    best = np.full(n + 1, np.iinfo(np.int64).max, dtype=np.int64)
+    for k, s in _layer_blocks(n):
+        best[k] = min(best[k], int(popcount_u32(nb(s) & ~s).min()))
+    return best
 
 
-def _bag_occurrence_py(flat, offsets, nverts):
+def bag_occurrence(flat: np.ndarray, offsets: np.ndarray, nverts: int):
+    """Per-vertex first/last/number-of bags (plus in-bag duplicate counts).
+
+    Vertices in no bag get first = last = -1 and zero counts. One sort
+    of the keys ``vertex * nbags + bag`` groups the bags of each vertex
+    in order.
+    """
+    flat = np.asarray(flat, dtype=np.int64)
+    offsets = np.asarray(offsets, dtype=np.int64)
+    nbags = len(offsets) - 1
+    keys = flat * nbags
+    keys += np.repeat(np.arange(nbags, dtype=np.int64), np.diff(offsets))
+    keys.sort()
+    distinct = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=distinct[1:])
+    keys = keys[distinct]  # one key per (vertex, bag) pair
+    v = keys // nbags
+    first = np.ones(len(v), dtype=bool)  # first / last key of each vertex
+    np.not_equal(v[1:], v[:-1], out=first[1:])
+    last = np.ones(len(v), dtype=bool)
+    last[:-1] = first[1:]
     lo = np.full(nverts, -1, dtype=np.int64)
     hi = np.full(nverts, -1, dtype=np.int64)
-    count = np.zeros(nverts, dtype=np.int64)
-    dup = np.zeros(nverts, dtype=np.int64)
-    nbags = len(offsets) - 1
-    bag_ids = np.repeat(np.arange(nbags, dtype=np.int64), np.diff(offsets))
-    order = np.argsort(flat, kind="stable")
-    sv = flat[order]
-    sb = bag_ids[order]
-    start = 0
-    total = len(sv)
-    while start < total:
-        v = sv[start]
-        end = start
-        while end < total and sv[end] == v:
-            end += 1
-        bags_v = sb[start:end]
-        uniq = np.unique(bags_v)
-        lo[v] = uniq[0]
-        hi[v] = uniq[-1]
-        count[v] = len(uniq)
-        dup[v] = len(bags_v) - len(uniq)
-        start = end
+    lo[v[first]] = keys[first] % nbags
+    hi[v[last]] = keys[last] % nbags
+    count = np.bincount(v, minlength=nverts)
+    dup = np.bincount(flat, minlength=nverts) - count
     return lo, hi, count, dup
 
 
-def _closure_rows_py(packed, eu, ev):
-    _, words = packed.shape
+def touch_scan(closures: np.ndarray, sets: np.ndarray):
+    """First pair (i, j) with closure(i) disjoint from set(j), or (-1, -1)."""
+    closures = np.ascontiguousarray(closures, dtype=np.uint64)
+    sets = np.ascontiguousarray(sets, dtype=np.uint64)
+    for i in range(sets.shape[0]):
+        hits = np.any(closures[i][None, :] & sets[i + 1 :], axis=1)
+        misses = np.nonzero(~hits)[0]
+        if misses.size:
+            return i, int(i + 1 + misses[0])
+    return -1, -1
+
+
+def closure_rows(packed: np.ndarray, eu: np.ndarray, ev: np.ndarray) -> np.ndarray:
+    """Packed row sets extended by their graph neighborhoods (edge list input)."""
+    packed = np.ascontiguousarray(packed, dtype=np.uint64)
+    eu = np.ascontiguousarray(eu, dtype=np.int64)
+    ev = np.ascontiguousarray(ev, dtype=np.int64)
     clo = packed.copy()
     one = np.uint64(1)
     euw, eub = eu >> 6, (eu & 63).astype(np.uint64)
     evw, evb = ev >> 6, (ev & 63).astype(np.uint64)
-    for w in range(words):
+    for w in range(packed.shape[1]):
         for srcw, srcb, dstb in ((euw, eub, evb), (evw, evb, eub)):
             into = (evw == w) if srcw is euw else (euw == w)
             if not into.any():
@@ -382,7 +207,8 @@ def _unpack_int(row: np.ndarray) -> int:
     return int.from_bytes(row.astype("<u8", copy=False).tobytes(), "little")
 
 
-def _connected_rows_py(packed, nbr_words):
+def connected_rows(packed: np.ndarray, nbr_words: np.ndarray) -> int:
+    """Index of the first row that does not induce a connected subgraph, or -1."""
     nbrs = [_unpack_int(nbr_words[v]) for v in range(nbr_words.shape[0])]
     for i in range(packed.shape[0]):
         bits = _unpack_int(packed[i])
@@ -399,83 +225,3 @@ def _connected_rows_py(packed, nbr_words):
         if comp != bits:
             return i
     return -1
-
-
-def _touch_scan_py(closures, sets):
-    m = sets.shape[0]
-    for i in range(m):
-        hits = np.any(closures[i][None, :] & sets[i + 1 :], axis=1)
-        misses = np.nonzero(~hits)[0]
-        if misses.size:
-            return i, int(i + 1 + misses[0])
-    return -1, -1
-
-
-# ----------------------------------------------------------------------
-# dispatching wrappers
-# ----------------------------------------------------------------------
-
-
-def elim_table(nbrs: np.ndarray, n: int) -> np.ndarray:
-    """Suffix table of the elimination-width DP (treewidth)."""
-    if use_numba():
-        return _elim_table_nb(nbrs.astype(np.uint64), n)
-    return _elim_table_py(nbrs, n)
-
-
-def boundary_table(nbrs: np.ndarray, n: int) -> np.ndarray:
-    """Inner-boundary size of every vertex subset."""
-    if use_numba():
-        return _boundary_table_nb(nbrs.astype(np.uint64), n)
-    return _boundary_table_py(nbrs, n)
-
-
-def sep_table(boundary: np.ndarray, n: int) -> np.ndarray:
-    """Suffix table of the vertex-separation DP (pathwidth)."""
-    if use_numba():
-        return _sep_table_nb(boundary, n)
-    return _sep_table_py(boundary, n)
-
-
-def bv_table(nbrs: np.ndarray, n: int) -> np.ndarray:
-    """Minimum outer boundary per subset size, exhaustively over all subsets."""
-    if use_numba():
-        return _bv_table_nb(nbrs.astype(np.uint64), n)
-    return _bv_table_py(nbrs, n)
-
-
-def bag_occurrence(flat: np.ndarray, offsets: np.ndarray, nverts: int):
-    """Per-vertex first/last/number-of bags (plus in-bag duplicate counts)."""
-    flat = np.ascontiguousarray(flat, dtype=np.int64)
-    offsets = np.ascontiguousarray(offsets, dtype=np.int64)
-    if use_numba():
-        return _bag_occurrence_nb(flat, offsets, nverts)
-    return _bag_occurrence_py(flat, offsets, nverts)
-
-
-def touch_scan(closures: np.ndarray, sets: np.ndarray):
-    """First pair (i, j) with closure(i) disjoint from set(j), or (-1, -1)."""
-    closures = np.ascontiguousarray(closures, dtype=np.uint64)
-    sets = np.ascontiguousarray(sets, dtype=np.uint64)
-    if use_numba():
-        return _touch_scan_nb(closures, sets)
-    return _touch_scan_py(closures, sets)
-
-
-def closure_rows(packed: np.ndarray, eu: np.ndarray, ev: np.ndarray) -> np.ndarray:
-    """Packed row sets extended by their graph neighborhoods (edge list input)."""
-    packed = np.ascontiguousarray(packed, dtype=np.uint64)
-    eu = np.ascontiguousarray(eu, dtype=np.int64)
-    ev = np.ascontiguousarray(ev, dtype=np.int64)
-    if use_numba():
-        return _closure_rows_nb(packed, eu, ev)
-    return _closure_rows_py(packed, eu, ev)
-
-
-def connected_rows(packed: np.ndarray, nbr_words: np.ndarray) -> int:
-    """Index of the first row that does not induce a connected subgraph, or -1."""
-    packed = np.ascontiguousarray(packed, dtype=np.uint64)
-    nbr_words = np.ascontiguousarray(nbr_words, dtype=np.uint64)
-    if use_numba():
-        return int(_connected_rows_nb(packed, nbr_words))
-    return int(_connected_rows_py(packed, nbr_words))

@@ -34,6 +34,10 @@ __all__ = [
     "exact_transversal",
 ]
 
+# Memory bound of the subset DPs: the treewidth DP holds one 2^n int8
+# table, the pathwidth DP three (boundary, separation and a working
+# table), and every DP works in blocks of at most 2^15 subsets. That is
+# 1 MB per table at n = 20 and 32 MB per table at the 25-vertex cap.
 TW_CAP = 25
 PW_CAP = 25
 BW_CAP = 12

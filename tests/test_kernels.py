@@ -1,0 +1,252 @@
+"""The numpy kernels against plain-python reference loops, bit for bit.
+
+The reference loops visit subsets one at a time, in index order, and
+group bag entries vertex by vertex, so they share no enumeration,
+neighbour-union or sort-key code with the kernels they check.
+"""
+
+import itertools
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from widthlab import _kernels, bounds, decomp, graphs, oracles
+from widthlab._bits import popcount_u32
+
+# ----------------------------------------------------------------------
+# reference loops (python bigints / numpy)
+# ----------------------------------------------------------------------
+
+
+def _elim_table_py(nbrs, n):
+    masks = [int(x) for x in nbrs]
+    full = (1 << n) - 1
+    size = 1 << n
+    g = np.empty(size, dtype=np.int8)
+    g[size - 1] = -1
+    for s in range(size - 2, -1, -1):
+        comps = []
+        rem = s
+        while rem:
+            seed = rem & -rem
+            comp = seed
+            stack = seed
+            ext = 0
+            while stack:
+                b = stack & -stack
+                stack ^= b
+                nv = masks[b.bit_length() - 1]
+                ext |= nv
+                grow = nv & s & ~comp
+                comp |= grow
+                stack |= grow
+            comps.append((comp, ext & ~s))
+            rem &= ~comp
+        best = 127
+        m = full & ~s
+        while m:
+            b = m & -m
+            m ^= b
+            v = b.bit_length() - 1
+            reach = masks[v]
+            for comp, ext in comps:
+                if masks[v] & comp:
+                    reach |= ext
+            q = (reach & ~(s | (1 << v)) & full).bit_count()
+            sub = g[s | (1 << v)]
+            w = q if q > sub else sub
+            if w < best:
+                best = w
+        g[s] = best
+    return g
+
+
+def _boundary_table_py(nbrs, n):
+    masks = [int(x) for x in nbrs]
+    size = 1 << n
+    b = np.empty(size, dtype=np.int8)
+    b[0] = 0
+    for s in range(1, size):
+        cnt = 0
+        m = s
+        while m:
+            bit = m & -m
+            m ^= bit
+            if masks[bit.bit_length() - 1] & ~s:
+                cnt += 1
+        b[s] = cnt
+    return b
+
+
+def _sep_table_py(b, n):
+    size = 1 << n
+    h = np.empty(size, dtype=np.int8)
+    h[size - 1] = 0
+    bs = b
+    for s in range(size - 2, -1, -1):
+        best = 127
+        for v in range(n):
+            bit = 1 << v
+            if s & bit:
+                continue
+            nxt = s | bit
+            w = bs[nxt] if bs[nxt] > h[nxt] else h[nxt]
+            if w < best:
+                best = w
+        h[s] = best
+    return h
+
+
+def _bv_table_py(nbrs, n):
+    masks = [int(x) for x in nbrs]
+    best = [None] * (n + 1)
+    for s in range(1 << n):
+        nb = 0
+        m = s
+        cnt = 0
+        while m:
+            bit = m & -m
+            m ^= bit
+            nb |= masks[bit.bit_length() - 1]
+            cnt += 1
+        phi = (nb & ~s & ((1 << n) - 1)).bit_count()
+        if best[cnt] is None or phi < best[cnt]:
+            best[cnt] = phi
+    return np.asarray(best, dtype=np.int64)
+
+
+def _bag_occurrence_py(flat, offsets, nverts):
+    lo = np.full(nverts, -1, dtype=np.int64)
+    hi = np.full(nverts, -1, dtype=np.int64)
+    count = np.zeros(nverts, dtype=np.int64)
+    dup = np.zeros(nverts, dtype=np.int64)
+    nbags = len(offsets) - 1
+    bag_ids = np.repeat(np.arange(nbags, dtype=np.int64), np.diff(offsets))
+    order = np.argsort(flat, kind="stable")
+    sv = flat[order]
+    sb = bag_ids[order]
+    start = 0
+    total = len(sv)
+    while start < total:
+        v = sv[start]
+        end = start
+        while end < total and sv[end] == v:
+            end += 1
+        bags_v = sb[start:end]
+        uniq = np.unique(bags_v)
+        lo[v] = uniq[0]
+        hi[v] = uniq[-1]
+        count[v] = len(uniq)
+        dup[v] = len(bags_v) - len(uniq)
+        start = end
+    return lo, hi, count, dup
+
+
+# ----------------------------------------------------------------------
+# subset DPs
+# ----------------------------------------------------------------------
+
+
+def _masks(g):
+    return np.asarray(g.neighbor_masks(), dtype=np.uint64)
+
+
+def _random_graph(n, picks):
+    pairs = list(itertools.combinations(range(n), 2))
+    return graphs.Graph(n, [pairs[i % len(pairs)] for i in picks] if pairs else [])
+
+
+random_graphs = st.tuples(
+    st.integers(1, 12), st.lists(st.integers(0, 65), max_size=40)
+).map(lambda args: _random_graph(*args))
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_graphs)
+@example(graphs.Graph(1, []))
+@example(graphs.Graph(6, [(0, 1), (2, 3), (3, 4)]))  # disconnected, one isolate
+@example(graphs.gen_petersen(5, 2))
+@example(graphs.gen_hamming(2, 2, 3))
+@example(graphs.gen_johnson(5, 2))
+def test_subset_tables_match(g):
+    masks, n = _masks(g), g.num_vertices
+    fast = (_kernels.elim_table(masks, n), _kernels.boundary_table(masks, n), _kernels.bv_table(masks, n))
+    fast += (_kernels.sep_table(fast[1], n),)
+    slow = (_elim_table_py(masks, n), _boundary_table_py(masks, n), _bv_table_py(masks, n))
+    slow += (_sep_table_py(slow[1], n),)
+    for a, b in zip(fast, slow):
+        assert a.dtype == b.dtype
+        assert np.array_equal(a, b)
+
+
+def test_oracles_match_reference_kernels(monkeypatch):
+    g = graphs.gen_petersen(5, 2)
+    fast = (oracles.exact_treewidth(g), oracles.exact_pathwidth(g), list(oracles.bv_table(g)))
+    for name in ("elim_table", "boundary_table", "sep_table", "bv_table"):
+        monkeypatch.setattr(_kernels, name, globals()[f"_{name}_py"])
+    slow = (oracles.exact_treewidth(g), oracles.exact_pathwidth(g), list(oracles.bv_table(g)))
+    assert fast == slow
+
+
+def test_layer_blocks_cover_each_subset_once():
+    for n in range(0, 21):
+        seen = []
+        last_k = n
+        for k, block in _kernels._layer_blocks(n):
+            assert k <= last_k
+            last_k = k
+            assert 0 < len(block) <= 1 << 15
+            assert (popcount_u32(block) == k).all()
+            seen.append(block)
+        assert np.array_equal(np.sort(np.concatenate(seen)), np.arange(1 << n))
+
+
+# ----------------------------------------------------------------------
+# bag scan and certificate validators
+# ----------------------------------------------------------------------
+
+
+def _bags_case(nverts, bags):
+    offsets = np.zeros(len(bags) + 1, dtype=np.int64)
+    np.cumsum([len(b) for b in bags], out=offsets[1:])
+    flat = np.array([v for b in bags for v in b], dtype=np.int64)
+    return flat, offsets, nverts
+
+
+bag_lists = st.integers(1, 30).flatmap(
+    lambda nv: st.tuples(st.just(nv), st.lists(st.lists(st.integers(0, nv - 1), max_size=8), max_size=12))
+)
+_PD = decomp.petersen_pd(40, 3, "repaired")
+
+
+@settings(max_examples=200, deadline=None)
+@given(bag_lists)
+@example((5, [[1, 1, 3], [], [3], [4, 1, 4]]))  # repeats in a bag, an empty bag, vertices in no bag
+@example((1, []))
+@example((80, [list(b) for b in _PD.bags()]))
+def test_bag_occurrence_matches(case):
+    flat, offsets, nverts = _bags_case(*case)
+    fast = _kernels.bag_occurrence(flat, offsets, nverts)
+    slow = _bag_occurrence_py(flat, offsets, nverts)
+    for a, b in zip(fast, slow):
+        assert a.dtype == b.dtype
+        assert np.array_equal(a, b)
+
+
+def test_decomposition_validator_matches():
+    g = graphs.gen_petersen(9, 2)
+    for mode in ("verbatim", "repaired"):
+        d = decomp.petersen_pd(9, 2, mode)
+        report = decomp.validate_decomposition(g, d)
+        if mode == "repaired":
+            assert report.ok and report.width == 6
+        else:
+            assert set(report.uncovered_edges) == {(2, 11)}
+
+
+def test_bramble_validator_matches():
+    for (n, k, ok) in [(5, 2, True), (30, 3, True), (10, 4, False)]:
+        g = graphs.gen_petersen(n, k)
+        report = bounds.validate_bramble(g, bounds.petersen_bramble(n, k))
+        assert report.ok is ok
