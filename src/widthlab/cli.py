@@ -2,8 +2,8 @@
 
 Subcommands: gen, hales, bw, radius, decomp, bramble, spectrum, oracle,
 suite, table. Exit codes: 0 when everything checked out (or failures
-are explicitly flagged as known), 1 on an identity failure, 2 on usage
-or size-cap errors.
+are explicitly flagged as known), 1 on an identity failure, 2 on usage,
+malformed input files or size-cap errors.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import json
 import sys
 
 from . import bounds, decomp, graphs, hales, oracles, suites, widthcalc
-from .errors import HypothesisError, ParameterError, SizeCapError, WidthLabError
+from .errors import HypothesisError, ParameterError, ParseError, SizeCapError, WidthLabError
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -327,7 +327,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ParameterError, SizeCapError, HypothesisError) as exc:
+    except (ParameterError, ParseError, SizeCapError, HypothesisError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except WidthLabError as exc:

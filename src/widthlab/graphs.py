@@ -57,7 +57,13 @@ class Graph:
                 raise ParameterError("self-loops are not allowed")
             if lo.min() < 0 or hi.max() >= self.n:
                 raise ParameterError("edge endpoint out of range")
-            e = np.unique(np.column_stack([lo, hi]), axis=0)
+            # sorted distinct (lo, hi) rows via one sort of lo*n + hi keys
+            key = np.sort(lo * self.n + hi)
+            first = np.empty(key.shape, dtype=bool)
+            first[0] = True
+            np.not_equal(key[1:], key[:-1], out=first[1:])
+            key = key[first]
+            e = np.column_stack([key // self.n, key % self.n])
         self.edges = e
         if labels is None:
             labels = tuple(range(self.n))

@@ -4,8 +4,11 @@ Every oracle here enumerates or searches exhaustively and refuses
 oversized inputs with a hard error; nothing falls back to a heuristic.
 Subset dynamic programs run over all 2^n vertex subsets (bitmask
 state), so the caps are absolute. Tie-breaking is deterministic: the
-reported optimal orders are the lexicographically smallest ones
-achieving the optimum.
+treewidth and pathwidth orders are the lexicographically smallest ones
+achieving the optimum. The bandwidth order is the best breadth-first
+layout (lowest start vertex among the best) when that layout is
+already optimal, and otherwise the lexicographically smallest optimal
+layout.
 """
 
 from __future__ import annotations
@@ -143,11 +146,73 @@ def _order_bandwidth(masks, order) -> int:
     return worst
 
 
-def exact_bandwidth(g: Graph, cap: int = BW_CAP):
-    """Exact bandwidth by depth-first branch and bound over orderings.
+def _distances(masks, n: int) -> list:
+    """All-pairs distances (Floyd-Warshall); other components are n apart."""
+    dist = [[0 if u == v else 1 if (masks[u] >> v) & 1 else n for v in range(n)] for u in range(n)]
+    for k in range(n):
+        via = dist[k]
+        for row in dist:
+            row[:] = [min(d, row[k] + e) for d, e in zip(row, via)]
+    return dist
 
-    Prunes a partial layout once some placed vertex with an unplaced
-    neighbor already forces a gap at least as large as the incumbent.
+
+def _ball_lower_bound(dist, n: int) -> int:
+    """max over v, r of ceil((|B_r(v)| - 1) / 2r).
+
+    A layout of bandwidth b keeps every vertex within distance r of v
+    inside positions pos(v) - r*b .. pos(v) + r*b.
+    """
+    lb = 0
+    for row in dist:
+        reach = sorted(d for d in row if d < n)
+        for size, r in enumerate(reach[1:], start=2):
+            lb = max(lb, -(-(size - 1) // (2 * r)))
+    return lb
+
+
+def _first_layout(dist, n: int, b: int):
+    """Lexicographically smallest layout of bandwidth <= b, or None.
+
+    Depth-first over positions, trying vertices in increasing index
+    order; a branch is cut only when it cannot be completed within
+    width b. Deadline test: every unplaced w must sit at or before
+    min over placed u of pos[u] + b*dist(u, w), so the j-th smallest
+    deadline must be at least i + j. Failed states are remembered by
+    (placed set, last b vertices), which fixes everything a completion
+    depends on.
+    """
+    layout = []
+    failed = set()
+
+    def dfs(i: int, placed: int, deadline: list) -> bool:
+        if i == n:
+            return True
+        key = (placed, tuple(layout[max(0, i - b):]))
+        if key in failed:
+            return False
+        free = [v for v in range(n) if not (placed >> v) & 1]
+        if all(d >= i + j for j, d in enumerate(sorted(deadline[v] for v in free))):
+            for v in free:
+                nxt = [min(d, i + b * r) for d, r in zip(deadline, dist[v])]
+                layout.append(v)
+                if dfs(i + 1, placed | (1 << v), nxt):
+                    return True
+                layout.pop()
+        failed.add(key)
+        return False
+
+    return layout if dfs(0, 0, [n - 1] * n) else None
+
+
+def exact_bandwidth(g: Graph, cap: int = BW_CAP):
+    """Exact bandwidth by iterative deepening over layout widths.
+
+    The incumbent is the best BFS layout over all start vertices. Each
+    width b from a ball-growth lower bound up to incumbent - 1 is then
+    tried by an exhaustive layout search (see ``_first_layout``); the
+    first feasible b is the bandwidth and its lexicographically
+    smallest layout is the order. When no width below the incumbent is
+    feasible the BFS layout is returned as is.
     Returns ``(bw, order)``.
     """
     n = g.num_vertices
@@ -178,40 +243,11 @@ def exact_bandwidth(g: Graph, cap: int = BW_CAP):
         if best is None or w < best:
             best, best_order = w, list(seen)
 
-    pos = [-1] * n
-    layout = [0] * n
-
-    def dfs(i: int, placed: int, curmax: int) -> None:
-        nonlocal best, best_order
-        if i == n:
-            if curmax < best:
-                best, best_order = curmax, list(layout)
-            return
-        m = placed
-        while m:
-            b = m & -m
-            m ^= b
-            u = b.bit_length() - 1
-            if masks[u] & ~placed and i - pos[u] >= best:
-                return
-        for v in range(n):
-            bit = 1 << v
-            if placed & bit:
-                continue
-            gap = curmax
-            m = masks[v] & placed
-            while m:
-                b = m & -m
-                m ^= b
-                gap = max(gap, i - pos[b.bit_length() - 1])
-            if gap >= best:
-                continue
-            pos[v] = i
-            layout[i] = v
-            dfs(i + 1, placed | bit, gap)
-            pos[v] = -1
-
-    dfs(0, 0, 0)
+    dist = _distances(masks, n)
+    for b in range(_ball_lower_bound(dist, n), best):
+        order = _first_layout(dist, n, b)
+        if order is not None:
+            return b, order
     return best, best_order
 
 

@@ -61,6 +61,15 @@ def test_decomp_construct_write_validate(tmp_path, capsys):
     assert "ok=True" in out and "width=6" in out
 
 
+def test_decomp_malformed_graph_is_usage_error(tmp_path, capsys):
+    td = tmp_path / "d.td"
+    gr = tmp_path / "g.gr"
+    assert run(["decomp", "--n", "5", "--k", "2", "--mode", "repaired", "--out", str(td)]) == 0
+    gr.write_text("p tw 10 1\n1 x\n")
+    assert run(["decomp", "--gr", str(gr), "--td", str(td)]) == 2
+    assert "line 2" in capsys.readouterr().err
+
+
 def test_decomp_verbatim_gap_is_mismatch(capsys):
     assert run(["decomp", "--n", "5", "--k", "2", "--mode", "verbatim"]) == 1
     assert "uncovered=[(2, 7)]" in capsys.readouterr().out

@@ -154,6 +154,25 @@ def test_graph_basic_queries():
     assert g.min_degree() == g.max_degree() == 2
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 40).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+    st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1]),
+    max_size=60,
+))))
+def test_graph_edges_match_unique_rows(args):
+    n, raw = args
+    edges = raw + [(v, u) for u, v in raw[::3]] + raw[:5]  # reversed and repeated edges
+    g = graphs.Graph(n, edges)
+    if edges:
+        e = np.asarray(edges, dtype=np.int64)
+        expected = np.unique(np.column_stack([e.min(axis=1), e.max(axis=1)]), axis=0)
+    else:
+        expected = np.zeros((0, 2), dtype=np.int64)
+    assert g.edges.dtype == np.int64
+    assert g.edges.shape == expected.shape
+    assert np.array_equal(g.edges, expected)
+
+
 def test_pace_round_trip(tmp_path):
     g = graphs.gen_petersen(5, 2)
     path = tmp_path / "g.gr"

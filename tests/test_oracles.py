@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from widthlab import bounds, decomp, graphs, oracles, widthcalc
+from widthlab import bounds, decomp, graphs, oracles, suites, widthcalc
 from widthlab.errors import ParameterError, PreconditionError, SizeCapError
 
 
@@ -74,12 +74,17 @@ def test_bandwidth_small():
     assert oracles.exact_bandwidth(graphs.gen_hamming(2, 2, 3))[0] == widthcalc.bw_closed(2, 3) == 6
 
 
+BW_ZOO = {name: make() for name, make in suites._ZOO}
+BW_ZOO = {name: g for name, g in BW_ZOO.items() if g.num_vertices <= oracles.BW_CAP}
+
+
 def test_bandwidth_order_certifies_value():
-    g = graphs.gen_petersen(5, 2)
-    bw, order = oracles.exact_bandwidth(g)
-    pos = {v: i for i, v in enumerate(order)}
-    realized = max(abs(pos[int(u)] - pos[int(v)]) for u, v in g.edges)
-    assert realized == bw
+    for name, g in BW_ZOO.items():
+        bw, order = oracles.exact_bandwidth(g)
+        assert sorted(order) == list(range(g.num_vertices)), name
+        pos = {v: i for i, v in enumerate(order)}
+        realized = max(abs(pos[int(u)] - pos[int(v)]) for u, v in g.edges)
+        assert realized == bw, name
 
 
 def test_boundary_oracles():
@@ -221,7 +226,7 @@ def test_width_parameter_sandwich(g):
 
 import itertools
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 
@@ -324,3 +329,95 @@ def test_pathwidth_order_is_lexicographically_smallest_optimum(g):
          if _separation_of_order(g, p) == pw),
     )
     assert order == best
+
+
+# ----------------------------------------------------------------------
+# bandwidth: the deepening search against the branch and bound it replaced
+# ----------------------------------------------------------------------
+
+
+def _exact_bandwidth_reference(g):
+    """Branch and bound over orderings, pruned only against the incumbent."""
+    n = g.num_vertices
+    masks = g.neighbor_masks()
+    if g.num_edges == 0:
+        return 0, list(range(n))
+
+    best = None
+    best_order = None
+    for start in range(n):
+        seen = [start]
+        mask = 1 << start
+        for v in seen:
+            m = masks[v] & ~mask
+            while m:
+                b = m & -m
+                m ^= b
+                seen.append(b.bit_length() - 1)
+                mask |= b
+        for v in range(n):
+            if not (mask >> v) & 1:
+                seen.append(v)
+                mask |= 1 << v
+        w = oracles._order_bandwidth(masks, seen)
+        if best is None or w < best:
+            best, best_order = w, list(seen)
+
+    pos = [-1] * n
+    layout = [0] * n
+
+    def dfs(i: int, placed: int, curmax: int) -> None:
+        nonlocal best, best_order
+        if i == n:
+            if curmax < best:
+                best, best_order = curmax, list(layout)
+            return
+        m = placed
+        while m:
+            b = m & -m
+            m ^= b
+            u = b.bit_length() - 1
+            if masks[u] & ~placed and i - pos[u] >= best:
+                return
+        for v in range(n):
+            bit = 1 << v
+            if placed & bit:
+                continue
+            gap = curmax
+            m = masks[v] & placed
+            while m:
+                b = m & -m
+                m ^= b
+                gap = max(gap, i - pos[b.bit_length() - 1])
+            if gap >= best:
+                continue
+            pos[v] = i
+            layout[i] = v
+            dfs(i + 1, placed | bit, gap)
+            pos[v] = -1
+
+    dfs(0, 0, 0)
+    return best, best_order
+
+
+@pytest.mark.parametrize("g", BW_ZOO.values(), ids=BW_ZOO.keys())
+def test_bandwidth_matches_reference_on_zoo(g):
+    assert oracles.exact_bandwidth(g) == _exact_bandwidth_reference(g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.tuples(st.integers(2, 9), st.lists(st.integers(0, 35), max_size=24)).map(
+    lambda args: _random_graph(*args)
+))
+@example(graphs.Graph(1, []))
+@example(graphs.Graph(7, [(0, 1), (1, 2), (0, 2), (4, 5), (5, 6)]))  # disconnected, with an isolate
+@example(graphs.Graph(5, []))  # edgeless
+# a failed-state key without the last b vertices, or with a window cut
+# short while fewer than b vertices are placed, wrongly fails these
+@example(graphs.Graph(8, [(0, 2), (0, 4), (0, 6), (0, 7), (1, 2), (1, 5), (2, 3), (3, 4), (3, 6), (3, 7), (4, 6)]))
+@example(graphs.Graph(8, [
+    (0, 2), (0, 3), (0, 4), (0, 5), (0, 7), (1, 2), (1, 3), (1, 4), (1, 7), (2, 4),
+    (2, 5), (2, 6), (2, 7), (3, 4), (3, 7), (4, 5), (4, 6), (5, 7), (6, 7),
+]))
+def test_bandwidth_matches_reference(g):
+    assert oracles.exact_bandwidth(g) == _exact_bandwidth_reference(g)
