@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-# 16-bit lookup table; uint32 popcount is two lookups, uint64 four.
+# 16-bit lookup table; uint32 popcount is two lookups.
 _POP16 = (
     np.unpackbits(np.arange(1 << 16, dtype=">u2").view(np.uint8))
     .reshape(-1, 16)
@@ -19,9 +19,7 @@ def popcount_u32(a: np.ndarray) -> np.ndarray:
     return _POP16[a & np.uint32(0xFFFF)].astype(np.int32) + _POP16[a >> np.uint32(16)]
 
 
-def popcount_u64(a: np.ndarray) -> np.ndarray:
-    """Elementwise popcount of a uint64 array."""
-    a = a.astype(np.uint64, copy=False)
-    lo = (a & np.uint64(0xFFFFFFFF)).astype(np.uint32)
-    hi = (a >> np.uint64(32)).astype(np.uint32)
-    return popcount_u32(lo) + popcount_u32(hi)
+def xor_popcount_u8(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Matrix of popcount(rows[i] ^ cols[j]) of uint32 words, as uint8."""
+    x = rows.astype(np.uint32, copy=False)[:, None] ^ cols.astype(np.uint32, copy=False)[None, :]
+    return _POP16[x & np.uint32(0xFFFF)] + _POP16[x >> np.uint32(16)]

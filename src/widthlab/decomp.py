@@ -548,7 +548,11 @@ def write_td(d: Decomposition, num_vertices: int, path) -> None:
 
 
 def read_td(path):
-    """Parse a PACE .td file; returns (Decomposition, declared_num_vertices)."""
+    """Parse a PACE .td file; returns (Decomposition, declared_num_vertices).
+
+    Negative header counts and a bag larger than the declared max bag
+    size raise :class:`ParseError` with the offending line number.
+    """
     header = None
     bags = {}
     edges = []
@@ -567,6 +571,8 @@ def read_td(path):
                     header = tuple(int(x) for x in parts[2:])
                 except ValueError:
                     raise ParseError("non-integer counts in solution line", lineno)
+                if min(header) < 0:
+                    raise ParseError("negative counts in solution line", lineno)
                 continue
             if header is None:
                 raise ParseError("content before the solution line", lineno)
@@ -580,6 +586,8 @@ def read_td(path):
                     raise ParseError(f"duplicate bag id {bag_id}", lineno)
                 if any(v < 0 or v >= header[2] for v in content):
                     raise ParseError("bag vertex out of declared range", lineno)
+                if len(content) > header[1]:
+                    raise ParseError(f"bag of {len(content)} vertices exceeds the declared max {header[1]}", lineno)
                 bags[bag_id] = content
                 continue
             if len(parts) != 2:

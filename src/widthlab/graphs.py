@@ -334,11 +334,20 @@ def write_graph(g: Graph, path) -> None:
 
 
 def read_graph(path) -> Graph:
-    """Parse a PACE .gr file written by :func:`write_graph` (or plain ones)."""
+    """Parse a PACE .gr file written by :func:`write_graph` (or plain ones).
+
+    The file must state a simple graph exactly: a repeated edge (in
+    either orientation), a self-loop, a negative count, an edge count
+    that differs from the header, and a label that is given twice for
+    one vertex, names no vertex or collides with another vertex's label
+    each raise :class:`ParseError` with the offending line number.
+    """
     nverts = None
     medges = None
+    header_line = None
     edges = []
-    labels = {}
+    seen = set()
+    labels = {}  # vertex -> (label, line)
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
@@ -348,9 +357,13 @@ def read_graph(path) -> Graph:
                 parts = line.split(maxsplit=3)
                 if len(parts) == 4 and parts[1] == "label":
                     try:
-                        labels[int(parts[2]) - 1] = ast.literal_eval(parts[3])
-                    except (ValueError, SyntaxError) as exc:
+                        vertex, label = int(parts[2]) - 1, ast.literal_eval(parts[3])
+                        hash(label)
+                    except (ValueError, SyntaxError, TypeError) as exc:
                         raise ParseError(f"bad label comment: {exc}", lineno)
+                    if vertex in labels:
+                        raise ParseError(f"second label for vertex {vertex + 1}", lineno)
+                    labels[vertex] = (label, lineno)
                 continue
             if line.startswith("p"):
                 parts = line.split()
@@ -362,6 +375,9 @@ def read_graph(path) -> Graph:
                     nverts, medges = int(parts[2]), int(parts[3])
                 except ValueError:
                     raise ParseError("non-integer counts in problem line", lineno)
+                if nverts < 0 or medges < 0:
+                    raise ParseError("negative counts in problem line", lineno)
+                header_line = lineno
                 continue
             if nverts is None:
                 raise ParseError("edge line before problem line", lineno)
@@ -374,10 +390,26 @@ def read_graph(path) -> Graph:
                 raise ParseError("non-integer endpoint", lineno)
             if not (1 <= u <= nverts and 1 <= v <= nverts):
                 raise ParseError("endpoint out of range", lineno)
+            if u == v:
+                raise ParseError(f"self-loop at vertex {u}", lineno)
+            key = (u, v) if u < v else (v, u)
+            if key in seen:
+                raise ParseError(f"repeated edge {key[0]} {key[1]}", lineno)
+            seen.add(key)
             edges.append((u - 1, v - 1))
     if nverts is None:
         raise ParseError("missing problem line", 1)
-    if medges is not None and medges != len(edges):
-        raise ParseError(f"header declares {medges} edges, found {len(edges)}", 1)
-    lab = [labels.get(i, i) for i in range(nverts)] if labels else None
+    if medges != len(edges):
+        raise ParseError(f"header declares {medges} edges, found {len(edges)}", header_line)
+    if not labels:
+        return Graph(nverts, edges)
+    lab = list(range(nverts))
+    used = {v for v in range(nverts) if v not in labels}  # default labels stay in use
+    for vertex, (label, lineno) in labels.items():  # in file order
+        if not 0 <= vertex < nverts:
+            raise ParseError(f"label for vertex {vertex + 1}, outside 1..{nverts}", lineno)
+        if label in used:
+            raise ParseError(f"label {label!r} is already used by another vertex", lineno)
+        used.add(label)
+        lab[vertex] = label
     return Graph(nverts, edges, labels=lab)

@@ -104,14 +104,23 @@ def _valid_radius_tuples(n: int):
 
 
 def _job_radius_identities(n: int) -> list:
+    tuples = list(_valid_radius_tuples(n))
+    # a (k, kp) block's distances do not depend on t: build each block once
+    by_block = {}
+    for tup in tuples:
+        t, _, k, s = tup
+        by_block.setdefault((k, k + t - 2 * s), []).append(tup)
+    direct = {}
+    for (k, kp), group in by_block.items():
+        direct.update(zip(group, widthcalc.block_radii(n, k, kp, [tup[0] for tup in group])))
     recs = []
-    for (t, nn, k, s) in _valid_radius_tuples(n):
+    for tup in tuples:
+        t, nn, k, s = tup
         closed = widthcalc.radius_closed(t, nn, k, s)
         rec = widthcalc.radius_recursive(t, nn, k, t - 2 * s)
-        direct = widthcalc.manhattan_radius(widthcalc.assemble_block(t, nn, k, k + t - 2 * s))
         key = f"radius t={t} n={nn} k={k} s={s}"
         recs.append(_rec(f"{key} closed_vs_recursive", closed, rec))
-        recs.append(_rec(f"{key} closed_vs_direct", closed, direct))
+        recs.append(_rec(f"{key} closed_vs_direct", closed, direct[tup]))
     return recs
 
 

@@ -6,7 +6,11 @@ weight-slice blocks. Everything here is computed three independent
 ways so the test suite can cross-check them:
 
 * directly, from the 0/1 block entries (:func:`assemble_block`,
-  :func:`manhattan_radius`, :func:`matrix_bandwidth`);
+  :func:`manhattan_radius`, :func:`matrix_bandwidth`). The Hamming
+  distances of a (n, k, kp) block do not depend on t, so
+  :func:`distance_block` computes them once as uint8 and each
+  distance-t block is its threshold ``1 <= d <= t``;
+  :func:`block_radii` scans one such threshold per requested t;
 * recursively, via the 2x2 sub-block split of each slice block with
   anchor-shift offsets (:func:`radius_recursive`, :func:`bw_recursion`);
 * in closed form (:func:`radius_closed`, :func:`bw_closed`).
@@ -28,14 +32,16 @@ from functools import lru_cache
 import numpy as np
 
 from . import hales
-from ._bits import popcount_u32
+from ._bits import xor_popcount_u8
 from .errors import InfeasibleError, ParameterError, SizeCapError, UndefinedValueError
 
 __all__ = [
     "NEG_INF",
     "BooleanBlock",
     "binom_ext",
+    "distance_block",
     "assemble_block",
+    "block_radii",
     "assemble_full",
     "matrix_bandwidth",
     "manhattan_radius",
@@ -87,9 +93,30 @@ class BooleanBlock:
         return self.is_empty or not self.bits.any()
 
 
-def _block_bits(t: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    d = popcount_u32(rows[:, None] ^ cols[None, :])
-    return ((d >= 1) & (d <= t)).astype(np.uint8)
+def _within(d: np.ndarray, t: int) -> np.ndarray:
+    """Boolean mask of the adjacency rule of the distance-t graph: 1 <= d <= t."""
+    return (d >= 1) & (d <= t)
+
+
+def distance_block(n: int, k: int, kp: int) -> np.ndarray:
+    """uint8 Hamming distances of the weight-k rows to the weight-kp columns.
+
+    Rows and columns follow the slice orders of :mod:`hales`. The block
+    does not depend on the threshold t; every distance-t block with
+    these weights is a threshold of it. Out-of-range weights give the
+    empty 0x0 block.
+    """
+    if n < 1:
+        raise ParameterError(f"distance_block needs n >= 1, got n={n}")
+    if n > BLOCK_MAX_N:
+        raise SizeCapError(f"block assembly capped at n={BLOCK_MAX_N}, got n={n}")
+    if not (0 <= k <= n) or not (0 <= kp <= n):
+        return np.zeros((0, 0), dtype=np.uint8)
+    rows = hales.slice_order(n, k).rows
+    cols = hales.slice_order(n, kp).rows
+    if len(rows) * len(cols) > BLOCK_MAX_ELEMS:
+        raise SizeCapError(f"block with {len(rows)}x{len(cols)} entries exceeds the dense cap")
+    return xor_popcount_u8(rows, cols)
 
 
 def assemble_block(t: int, n: int, k: int, kp: int) -> BooleanBlock:
@@ -100,15 +127,21 @@ def assemble_block(t: int, n: int, k: int, kp: int) -> BooleanBlock:
     """
     if n < 1 or t < 0:
         raise ParameterError(f"assemble_block needs n >= 1 and t >= 0, got t={t} n={n}")
-    if n > BLOCK_MAX_N:
-        raise SizeCapError(f"block assembly capped at n={BLOCK_MAX_N}, got n={n}")
-    if not (0 <= k <= n) or not (0 <= kp <= n):
-        return BooleanBlock(np.zeros((0, 0), dtype=np.uint8), (t, n, k), (t, n, kp))
-    rows = hales.slice_order(n, k).rows
-    cols = hales.slice_order(n, kp).rows
-    if len(rows) * len(cols) > BLOCK_MAX_ELEMS:
-        raise SizeCapError(f"block with {len(rows)}x{len(cols)} entries exceeds the dense cap")
-    return BooleanBlock(_block_bits(t, rows, cols), (t, n, k), (t, n, kp))
+    return BooleanBlock(_within(distance_block(n, k, kp), t).view(np.uint8), (t, n, k), (t, n, kp))
+
+
+def block_radii(n: int, k: int, kp: int, ts) -> list:
+    """Direct anchor radius of the (k, kp) block at each threshold t in ``ts``.
+
+    Equal to ``manhattan_radius(assemble_block(t, n, k, kp))`` for each
+    t, but the distance block is computed once and only thresholded
+    per t.
+    """
+    ts = list(ts)
+    if any(t < 0 for t in ts):
+        raise ParameterError(f"block_radii needs every t >= 0, got ts={ts}")
+    d = distance_block(n, k, kp)
+    return [manhattan_radius(_within(d, t)) for t in ts]
 
 
 def assemble_full(t: int, n: int) -> BooleanBlock:
@@ -122,7 +155,7 @@ def assemble_full(t: int, n: int) -> BooleanBlock:
     bits = np.empty((size, size), dtype=np.uint8)
     chunk = max(1, (1 << 24) // size)
     for start in range(0, size, chunk):
-        bits[start : start + chunk] = _block_bits(t, rows[start : start + chunk], rows)
+        bits[start : start + chunk] = _within(xor_popcount_u8(rows[start : start + chunk], rows), t)
     return BooleanBlock(bits, (t, n, None), (t, n, None))
 
 
@@ -130,15 +163,28 @@ def _as_bits(m) -> np.ndarray:
     return m.bits if isinstance(m, BooleanBlock) else np.asarray(m)
 
 
+def _row_extents(bits: np.ndarray):
+    """Indices of the rows with a nonzero entry, and each one's first and last nonzero column."""
+    nz = bits.astype(bool, copy=False)
+    if nz.size == 0:
+        none = np.zeros(0, dtype=np.intp)
+        return none, none, none
+    rows = np.arange(nz.shape[0])
+    first = nz.argmax(axis=1)
+    last = nz.shape[1] - 1 - nz[:, ::-1].argmax(axis=1)
+    hit = nz[rows, first]  # argmax gives column 0 for an all-zero row
+    return rows[hit], first[hit], last[hit]
+
+
 def matrix_bandwidth(m) -> int:
     """Max |i - j| over nonzero entries of a square matrix."""
     bits = _as_bits(m)
     if bits.ndim != 2 or bits.shape[0] != bits.shape[1]:
         raise ParameterError("matrix bandwidth needs a square matrix")
-    ii, jj = np.nonzero(bits)
+    ii, first, last = _row_extents(bits)
     if not ii.size:
         raise UndefinedValueError("bandwidth of a zero or empty matrix is undefined")
-    return int(np.abs(ii - jj).max())
+    return int(np.maximum(ii - first, last - ii).max())
 
 
 def manhattan_radius(m):
@@ -149,12 +195,10 @@ def manhattan_radius(m):
     the bandwidth plus s.
     """
     bits = _as_bits(m)
-    if bits.size == 0:
-        return NEG_INF
-    ii, jj = np.nonzero(bits)
+    ii, _, last = _row_extents(bits)
     if not ii.size:
         return NEG_INF
-    return int(bits.shape[0] + (jj - ii).max())
+    return int(bits.shape[0] + (last - ii).max())
 
 
 # ----------------------------------------------------------------------

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import pytest
 
-from widthlab import bounds, decomp, graphs, hales, oracles, widthcalc as wc
+from widthlab import bounds, decomp, graphs, hales, oracles, suites, widthcalc as wc
 
 
 def _report(criterion: str, ok: bool, detail: str = ""):
@@ -26,14 +26,6 @@ def _report(criterion: str, ok: bool, detail: str = ""):
     suffix = f" ({detail})" if detail else ""
     print(f"ACCEPTANCE {criterion}: {status}{suffix}")
     assert ok, f"{criterion}: {detail}"
-
-
-def _valid_radius_tuples(n_max):
-    for n in range(1, n_max + 1):
-        for t in range(1, n - 1):
-            for s in range(0, t // 2 + 1):
-                for k in range(0, n - (t - 2 * s) + 1):
-                    yield (t, n, k, s)
 
 
 def test_criterion_01_bandwidth_identity_chain():
@@ -62,15 +54,14 @@ def test_criterion_02_radius_identities():
     bad = []
     checked = 0
     overlap = 0
-    for (t, n, k, s) in _valid_radius_tuples(10):
-        closed = wc.radius_closed(t, n, k, s)
-        rec = wc.radius_recursive(t, n, k, t - 2 * s)
-        direct = wc.manhattan_radius(wc.assemble_block(t, n, k, k + t - 2 * s))
-        checked += 1
-        if k - s in (0, (n - t) // 2, n - t):
-            overlap += 1
-        if not (closed == rec == direct):
-            bad.append((t, n, k, s, closed, rec, direct))
+    for n in range(1, 11):
+        tuples = list(suites._valid_radius_tuples(n))
+        recs = suites._job_radius_identities(n)
+        if len(recs) != 2 * len(tuples):
+            bad.append((n, f"{len(recs)} records for {len(tuples)} tuples"))
+        bad += [(r.instance, r.lhs, r.rhs) for r in recs if not r.equal]
+        checked += len(tuples)
+        overlap += sum(k - s in (0, (n - t) // 2, n - t) for (t, _, k, s) in tuples)
     ok = not bad and checked >= 200 and overlap >= 50
     _report(
         "2 radius closed = recursive = direct on all valid tuples, n <= 10",

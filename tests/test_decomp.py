@@ -275,3 +275,21 @@ def test_td_parse_errors(tmp_path):
     bad.write_text("s td 2 1 3\nb 1 1\nb 1 2\n1 2\n")
     with pytest.raises(ParseError):
         decomp.read_td(bad)
+
+
+def test_td_bag_larger_than_declared_max(tmp_path):
+    bad = tmp_path / "bad.td"
+    for text, line in (("s td 1 1 3\nb 1 1 2 3\n", 2), ("s td 2 2 3\nb 1 1 2\nb 2 1 2 3\n1 2\n", 3)):
+        bad.write_text(text)
+        with pytest.raises(ParseError) as err:
+            decomp.read_td(bad)
+        assert err.value.line == line
+
+
+def test_td_negative_counts(tmp_path):
+    bad = tmp_path / "bad.td"
+    for header in ("s td -1 0 3", "s td 1 -1 3", "s td 1 0 -3"):
+        bad.write_text(f"c header\n{header}\n")
+        with pytest.raises(ParseError) as err:
+            decomp.read_td(bad)
+        assert err.value.line == 2

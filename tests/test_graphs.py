@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from widthlab import graphs
+from widthlab import cli, graphs
 from widthlab.errors import ParameterError, ParseError
 
 
@@ -201,6 +201,46 @@ def test_pace_edge_before_header(tmp_path):
     path.write_text("1 2\np tw 2 1\n")
     with pytest.raises(ParseError):
         graphs.read_graph(path)
+
+
+def _assert_gr_rejected(tmp_path, capsys, text, line):
+    path = tmp_path / "bad.gr"
+    path.write_text(text)
+    with pytest.raises(ParseError) as err:
+        graphs.read_graph(path)
+    assert err.value.line == line
+    td = tmp_path / "one-bag.td"
+    td.write_text("s td 1 3 3\nb 1 1 2 3\n")
+    assert cli.main(["decomp", "--gr", str(path), "--td", str(td)]) == 2
+    assert f"line {line}:" in capsys.readouterr().err
+
+
+def test_pace_repeated_edge(tmp_path, capsys):
+    _assert_gr_rejected(tmp_path, capsys, "p tw 3 2\n1 2\n1 2\n", 3)
+    _assert_gr_rejected(tmp_path, capsys, "p tw 3 3\n1 2\n2 3\n2 1\n", 4)
+
+
+def test_pace_self_loop(tmp_path, capsys):
+    _assert_gr_rejected(tmp_path, capsys, "p tw 3 2\n1 2\n2 2\n", 3)
+
+
+def test_pace_negative_counts(tmp_path, capsys):
+    _assert_gr_rejected(tmp_path, capsys, "c a comment\np tw -1 0\n", 2)
+    _assert_gr_rejected(tmp_path, capsys, "p tw 3 -1\n", 1)
+
+
+def test_pace_label_collision(tmp_path, capsys):
+    _assert_gr_rejected(tmp_path, capsys, "c label 1 'a'\nc label 2 'a'\np tw 3 0\n", 2)
+    # vertex 2 takes the default label of the unlabelled vertex 1
+    _assert_gr_rejected(tmp_path, capsys, "p tw 3 0\nc label 2 0\n", 2)
+    # a second label for one vertex, a label for a missing vertex, an unhashable label
+    _assert_gr_rejected(tmp_path, capsys, "c label 1 'a'\nc label 1 'b'\np tw 3 0\n", 2)
+    _assert_gr_rejected(tmp_path, capsys, "p tw 3 0\nc label 4 'd'\n", 2)
+    _assert_gr_rejected(tmp_path, capsys, "p tw 3 0\nc label 1 [1]\n", 2)
+
+
+def test_pace_edge_count_mismatch_names_header_line(tmp_path, capsys):
+    _assert_gr_rejected(tmp_path, capsys, "c label 1 'a'\np tw 3 2\n1 2\n", 2)
 
 
 @settings(max_examples=40, deadline=None)

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from widthlab import _kernels, bounds, decomp, graphs, oracles
+from widthlab import _bits
 from widthlab._bits import popcount_u32
 
 # ----------------------------------------------------------------------
@@ -250,3 +251,17 @@ def test_bramble_validator_matches():
         g = graphs.gen_petersen(n, k)
         report = bounds.validate_bramble(g, bounds.petersen_bramble(n, k))
         assert report.ok is ok
+
+
+def test_xor_popcount_u8_matches_int32_popcount():
+    # widths that cut a byte, fill one, and pass 16 bits
+    rng = np.random.default_rng(5)
+    for width in (1, 5, 8, 9, 16, 17, 24, 32):
+        for nrows in (0, 1, 40):
+            for ncols in (0, 1, 37):
+                rows = rng.integers(0, 1 << width, size=nrows, dtype=np.uint64).astype(np.uint32)
+                cols = rng.integers(0, 1 << width, size=ncols, dtype=np.uint64).astype(np.uint32)
+                got = _bits.xor_popcount_u8(rows, cols)
+                expected = popcount_u32(rows[:, None] ^ cols[None, :]).astype(np.uint8)
+                assert got.dtype == np.uint8 and got.shape == expected.shape, (width, nrows, ncols)
+                assert np.array_equal(got, expected), (width, nrows, ncols)

@@ -6,19 +6,42 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from widthlab import graphs, oracles, widthcalc as wc
+from widthlab import graphs, hales, oracles, suites, widthcalc as wc
+from widthlab._bits import popcount_u32
 from widthlab.errors import ParameterError, SizeCapError, UndefinedValueError
 
 NEG = wc.NEG_INF
 
 
-def valid_tuples(n_max):
-    for n in range(1, n_max + 1):
-        for t in range(1, n - 1):
-            for s in range(0, t // 2 + 1):
-                for k in range(0, n - (t - 2 * s) + 1):
-                    yield (t, n, k, s)
+# references: the np.nonzero scans and the int32 popcount block that
+# matrix_bandwidth, manhattan_radius and assemble_block replaced
+
+
+def _matrix_bandwidth_reference(bits):
+    ii, jj = np.nonzero(bits)
+    if not ii.size:
+        raise UndefinedValueError("bandwidth of a zero or empty matrix is undefined")
+    return int(np.abs(ii - jj).max())
+
+
+def _manhattan_radius_reference(bits):
+    if bits.size == 0:
+        return NEG
+    ii, jj = np.nonzero(bits)
+    if not ii.size:
+        return NEG
+    return int(bits.shape[0] + (jj - ii).max())
+
+
+def _block_bits_reference(t, n, k, kp):
+    if not (0 <= k <= n) or not (0 <= kp <= n):
+        return np.zeros((0, 0), dtype=np.uint8)
+    rows = hales.slice_order(n, k).rows
+    cols = hales.slice_order(n, kp).rows
+    d = popcount_u32(rows[:, None] ^ cols[None, :])
+    return ((d >= 1) & (d <= t)).astype(np.uint8)
 
 
 def test_binom_ext_examples():
@@ -65,6 +88,105 @@ def test_radius_bandwidth_relation_on_symmetric_matrices(args):
         assert wc.manhattan_radius(m) == NEG
     else:
         assert wc.manhattan_radius(m) == wc.matrix_bandwidth(m) + s
+
+
+def _sparse_matrices(shape):
+    # mostly zeros, so that all-zero rows and all-zero matrices come up
+    ints = hnp.arrays(np.int64, shape, elements=st.integers(-3, 4).map(lambda x: x if x > 1 or x < -1 else 0))
+    bools = hnp.arrays(np.uint8, shape, elements=st.sampled_from([0, 0, 0, 1]))
+    return ints | bools
+
+
+_SHAPES = st.tuples(st.integers(0, 9), st.integers(0, 9))
+
+
+def _assert_radius_matches_reference(m):
+    assert wc.manhattan_radius(m) == _manhattan_radius_reference(m)
+
+
+def _assert_bandwidth_matches_reference(m):
+    try:
+        expected = _matrix_bandwidth_reference(m)
+    except UndefinedValueError:
+        with pytest.raises(UndefinedValueError):
+            wc.matrix_bandwidth(m)
+    else:
+        assert wc.matrix_bandwidth(m) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(_SHAPES.flatmap(_sparse_matrices))
+def test_manhattan_radius_matches_nonzero_reference(m):
+    _assert_radius_matches_reference(m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 9).flatmap(lambda s: _sparse_matrices((s, s))))
+def test_matrix_bandwidth_matches_nonzero_reference(m):
+    _assert_bandwidth_matches_reference(m)
+
+
+def test_row_extent_edge_cases_match_reference():
+    square = [
+        np.zeros((0, 0), dtype=np.uint8),
+        np.zeros((4, 4), dtype=np.uint8),
+        np.asarray([[0]], dtype=np.uint8),
+        np.asarray([[1]], dtype=np.uint8),
+        np.asarray([[-2]], dtype=np.int64),
+        np.asarray([[0, 0, 0], [0, 0, 0], [5, 0, 0]], dtype=np.int64),
+        np.asarray([[0, 0, 1], [0, 0, 0], [0, 0, 0]], dtype=np.uint8),
+    ]
+    for m in square:
+        _assert_radius_matches_reference(m)
+        _assert_bandwidth_matches_reference(m)
+    rectangular = [
+        np.zeros((0, 3), dtype=np.uint8),
+        np.zeros((3, 0), dtype=np.uint8),
+        np.asarray([[0, 1, 0, 1]], dtype=np.uint8),
+        np.asarray([[0], [3], [0]], dtype=np.int64),
+        np.asarray([[0, 0, 0, 0], [1, 0, 0, 0]], dtype=np.uint8),
+        np.asarray([[0, 0], [0, 0], [0, 7]], dtype=np.int64),
+    ]
+    for m in rectangular:
+        _assert_radius_matches_reference(m)
+        with pytest.raises(ParameterError):
+            wc.matrix_bandwidth(m)
+
+
+def test_assemble_block_matches_reference_bits():
+    for n in range(1, 10):
+        for t in range(0, n + 2):
+            for k in range(-1, n + 2):
+                for kp in range(-1, n + 2):
+                    bits = wc.assemble_block(t, n, k, kp).bits
+                    expected = _block_bits_reference(t, n, k, kp)
+                    assert bits.dtype == np.uint8 and bits.shape == expected.shape, (t, n, k, kp)
+                    assert np.array_equal(bits, expected), (t, n, k, kp)
+
+
+def test_distance_block_caps_and_empty_convention():
+    assert wc.distance_block(3, 1, 2).tolist() == [[1, 1, 3], [1, 3, 1], [3, 1, 1]]
+    assert wc.distance_block(3, 1, 4).shape == (0, 0)
+    with pytest.raises(SizeCapError):
+        wc.distance_block(wc.BLOCK_MAX_N + 1, 1, 2)
+    with pytest.raises(ParameterError):
+        wc.distance_block(0, 0, 0)
+    with pytest.raises(ParameterError):
+        wc.block_radii(3, 1, 2, [1, -1])
+    # large blocks, and words of more than 16 bits
+    for (t, n, k, kp) in [(4, 12, 6, 6), (5, 13, 6, 7), (3, 17, 1, 2), (3, 17, 8, 1)]:
+        assert np.array_equal(wc.assemble_block(t, n, k, kp).bits, _block_bits_reference(t, n, k, kp)), (t, n, k, kp)
+
+
+def test_grouped_suite_route_matches_per_tuple_blocks():
+    for n in range(1, 12):
+        tuples = list(suites._valid_radius_tuples(n))
+        recs = suites._job_radius_identities(n)
+        assert len(recs) == 2 * len(tuples)
+        for (t, nn, k, s), rec in zip(tuples, recs[1::2]):
+            assert rec.instance == f"radius t={t} n={nn} k={k} s={s} closed_vs_direct"
+            direct = wc.manhattan_radius(wc.assemble_block(t, nn, k, k + t - 2 * s))
+            assert rec.rhs == str(direct), (t, nn, k, s)
 
 
 def test_assemble_block_examples():
@@ -143,7 +265,7 @@ def test_radius_recursive_examples():
 
 
 def test_radius_identities_exhaustive():
-    for (t, n, k, s) in valid_tuples(8):
+    for (t, n, k, s) in (tup for m in range(1, 9) for tup in suites._valid_radius_tuples(m)):
         closed = wc.radius_closed(t, n, k, s)
         rec = wc.radius_recursive(t, n, k, t - 2 * s)
         direct = wc.manhattan_radius(wc.assemble_block(t, n, k, k + t - 2 * s))
@@ -154,7 +276,7 @@ def test_radius_branch_overlap_points_agree():
     # overlap tuples evaluate two branch expressions; the internal
     # assertion fires if they ever disagree
     hits = 0
-    for (t, n, k, s) in valid_tuples(10):
+    for (t, n, k, s) in (tup for m in range(1, 11) for tup in suites._valid_radius_tuples(m)):
         if k - s in (0, (n - t) // 2, n - t):
             wc.radius_closed(t, n, k, s)
             hits += 1
