@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._bits import popcount_u32
 
 _BLOCK = 1 << 15  # most subsets held in one block
 
@@ -34,7 +33,7 @@ _BLOCK = 1 << 15  # most subsets held in one block
 def _by_popcount(bits: int) -> list:
     """The subsets of range(bits) as int64 arrays, indexed by popcount."""
     subsets = np.arange(1 << bits, dtype=np.int64)
-    pop = popcount_u32(subsets)
+    pop = np.bitwise_count(subsets)
     return [subsets[pop == k] for k in range(bits + 1)]
 
 
@@ -97,7 +96,7 @@ def elim_table(nbrs: np.ndarray, n: int) -> np.ndarray:
                 if np.array_equal(grown, comp):
                     break
                 comp = grown
-            q = popcount_u32(reach & ~comp)
+            q = np.bitwise_count(reach & ~comp).astype(np.int8)  # compared with the int8 table
             best[idx] = np.minimum(best[idx], np.maximum(q, g[sv | bit]))
         g[s] = best
     return g
@@ -109,7 +108,7 @@ def boundary_table(nbrs: np.ndarray, n: int) -> np.ndarray:
     full = (1 << n) - 1
     b = np.empty(1 << n, dtype=np.int8)
     for _, s in _layer_blocks(n):
-        b[s] = popcount_u32(s & nb(full ^ s))
+        b[s] = np.bitwise_count(s & nb(full ^ s))
     return b
 
 
@@ -137,7 +136,7 @@ def bv_table(nbrs: np.ndarray, n: int) -> np.ndarray:
     nb = _neighbour_union(nbrs, n)
     best = np.full(n + 1, np.iinfo(np.int64).max, dtype=np.int64)
     for k, s in _layer_blocks(n):
-        best[k] = min(best[k], int(popcount_u32(nb(s) & ~s).min()))
+        best[k] = min(best[k], int(np.bitwise_count(nb(s) & ~s).min()))
     return best
 
 
@@ -197,9 +196,12 @@ def closure_rows(packed: np.ndarray, eu: np.ndarray, ev: np.ndarray) -> np.ndarr
             into = (evw == w) if srcw is euw else (euw == w)
             if not into.any():
                 continue
-            has = (packed[:, srcw[into]] >> srcb[into]) & one
-            contrib = has * (one << dstb[into])
-            clo[:, w] |= np.bitwise_or.reduce(contrib, axis=1)
+            # one (rows x edges) temporary, shifted in place: source bit -> destination bit
+            moved = packed[:, srcw[into]]
+            moved >>= srcb[into]
+            moved &= one
+            moved <<= dstb[into]
+            clo[:, w] |= np.bitwise_or.reduce(moved, axis=1)
     return clo
 
 

@@ -2,10 +2,12 @@
 
 The double-cycle bramble puts, at every start position i, a window of
 t+1 consecutive outer vertices plus the t+1 inner vertices reachable by
-skip steps from the window's end, with t = ceil(n / (2k+2)). Spectra
-are certified exactly by integer trace moments rather than by floating
-point eigensolvers, so the spectral treewidth bound carries no
-tolerance at all.
+skip steps from the window's end, with t = ceil(n / (2k+2)). Claimed
+spectra are checked against integer trace moments in exact arithmetic
+rather than by floating point eigensolvers. The moment match is only a
+necessary condition, not a certificate: the false BK(7,3) spectrum
+((4,1),(3,5),(2,20),(0,15),(-1,9),(-2,10),(-3,10)) matches the first
+four moments (ROADMAP item 3, an exact spectrum certificate).
 """
 
 from __future__ import annotations
@@ -214,7 +216,9 @@ def verify_spectrum_moments(g: Graph, spectrum: Spectrum, p_max: int) -> MomentR
     """Check sum(mult * eig^p) == trace(A^p) for p = 0..p_max, exactly.
 
     Runs in int64 when the path-count bound allows it, otherwise in
-    unbounded python integers, so a pass is an exact certificate.
+    unbounded python integers, so every compared moment is exact. A
+    pass is still only a necessary condition: a wrong spectrum can
+    match the first p_max moments.
     """
     if p_max < 2:
         raise ParameterError(f"p_max must be at least 2, got {p_max}")
@@ -247,8 +251,9 @@ def spectral_bound_value(num_vertices: int, degree: int, lambda2: int) -> int:
 def spectral_lower_bound(g: Graph, spectrum: Spectrum, p_max: int = 4) -> int:
     """Treewidth lower bound from the spectral gap of a regular graph.
 
-    The spectrum is re-certified by trace moments up to p_max before
-    use; non-regular graphs and mismatching spectra are refused.
+    The spectrum is re-checked against the trace moments up to p_max
+    before use (a necessary condition only); non-regular graphs and
+    mismatching spectra are refused.
     """
     if not g.is_regular():
         raise PreconditionError("spectral bound needs a regular graph")

@@ -251,73 +251,57 @@ def _cmd_table(args) -> int:
     return EXIT_OK
 
 
+# every flag a subcommand may take; each subcommand declares the ones it reads
+_FLAGS = {
+    "t": dict(type=_parse_range, default=range(1, 2)),
+    "q": dict(type=_parse_range, default=range(2, 3)),
+    "n": dict(type=_parse_range, default=range(1, 2)),
+    "k": dict(type=_parse_range, default=range(1, 2)),
+    "s": dict(type=_parse_range, default=range(0, 1)),
+    "cap": dict(type=int, default=25),
+    "format": dict(choices=("csv", "json"), default="csv"),
+    "out": dict(default=None),
+    "workers": dict(type=int, default=1),
+    "family": dict(choices=("hamming", "johnson", "bipartite_kneser", "petersen"), default="hamming"),
+    "mode": dict(choices=("verbatim", "repaired"), default="repaired"),
+    "what": dict(choices=("tw", "pw", "bw", "bv", "separator"), default="tw"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="widthlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, *, family=False, mode=False, what=False, formula=False, suite=False):
-        p.add_argument("--t", type=_parse_range, default=range(1, 2))
-        p.add_argument("--q", type=_parse_range, default=range(2, 3))
-        p.add_argument("--n", type=_parse_range, default=range(1, 2))
-        p.add_argument("--k", type=_parse_range, default=range(1, 2))
-        p.add_argument("--s", type=_parse_range, default=range(0, 1))
-        p.add_argument("--cap", type=int, default=25)
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--out", default=None)
-        p.add_argument("--workers", type=int, default=1)
-        if family:
-            p.add_argument("--family", choices=("hamming", "johnson", "bipartite_kneser", "petersen"), default="hamming")
-        if mode:
-            p.add_argument("--mode", choices=("verbatim", "repaired"), default="repaired")
-        if what:
-            p.add_argument("--what", choices=("tw", "pw", "bw", "bv", "separator"), default="tw")
+    def command(name, fn, summary, *flags):
+        p = sub.add_parser(name, help=summary)
+        for flag in flags:
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("gen", help="emit a family member in PACE .gr form")
-    add_common(p, family=True)
-    p.set_defaults(fn=_cmd_gen)
+    command("gen", _cmd_gen, "emit a family member in PACE .gr form", "family", "t", "q", "n", "k", "out")
+    command("hales", _cmd_hales, "print the global binary order as CSV", "n", "out")
+    command("bw", _cmd_bw, "closed/recursive/direct bandwidth values", "t", "n", "cap")
+    command("radius", _cmd_radius, "closed/recursive/direct block radii", "t", "n", "k", "s")
 
-    p = sub.add_parser("hales", help="print the global binary order as CSV")
-    add_common(p)
-    p.set_defaults(fn=_cmd_hales)
-
-    p = sub.add_parser("bw", help="closed/recursive/direct bandwidth values")
-    add_common(p)
-    p.set_defaults(fn=_cmd_bw)
-
-    p = sub.add_parser("radius", help="closed/recursive/direct block radii")
-    add_common(p)
-    p.set_defaults(fn=_cmd_radius)
-
-    p = sub.add_parser("decomp", help="build or validate path/tree decompositions")
-    add_common(p, mode=True)
+    p = command("decomp", _cmd_decomp, "build or validate path/tree decompositions", "n", "k", "mode", "out")
     p.add_argument("--gr", default=None, help="validate this .gr graph ...")
     p.add_argument("--td", default=None, help="... against this .td decomposition")
-    p.set_defaults(fn=_cmd_decomp)
 
-    p = sub.add_parser("bramble", help="build and validate the window bramble")
-    add_common(p)
-    p.set_defaults(fn=_cmd_bramble)
+    command("bramble", _cmd_bramble, "build and validate the window bramble", "n", "k", "out")
 
-    p = sub.add_parser("spectrum", help="closed-form spectrum with moment certification")
-    add_common(p)
+    p = command("spectrum", _cmd_spectrum, "closed-form spectrum with a trace-moment check", "k", "out")
     p.add_argument("--p-max", type=int, default=6)
-    p.set_defaults(fn=_cmd_spectrum)
 
-    p = sub.add_parser("oracle", help="exact brute-force values with certificates")
-    add_common(p, family=True, what=True)
+    p = command("oracle", _cmd_oracle, "exact brute-force values with certificates", "family", "t", "q", "n", "k", "what", "cap", "out")
     p.add_argument("--gr", default=None, help="run on a .gr file instead of a family")
-    p.set_defaults(fn=_cmd_oracle)
 
-    p = sub.add_parser("suite", help="run a named verification suite")
-    add_common(p)
+    p = command("suite", _cmd_suite, "run a named verification suite", "format", "out", "workers")
     p.add_argument("--name", required=True, choices=sorted(suites.SUITES))
     p.add_argument("--param", action="append", default=[], metavar="NAME=VALUE", help="override a suite grid parameter")
-    p.set_defaults(fn=_cmd_suite)
 
-    p = sub.add_parser("table", help="emit a formula table over a grid")
-    add_common(p)
+    p = command("table", _cmd_table, "emit a formula table over a grid", "t", "n", "k", "s", "format", "out")
     p.add_argument("--formula", required=True, choices=sorted(suites.TABLE_FORMULAS))
-    p.set_defaults(fn=_cmd_table)
 
     return parser
 

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hales
-from ._bits import popcount_u32
 from .errors import ParameterError, ParseError, SizeCapError
 
 __all__ = [
@@ -222,7 +221,7 @@ def _edges_within_distance(codes: np.ndarray, t: int) -> np.ndarray:
     chunk = max(1, (1 << 22) // max(nverts, 1))
     for start in range(0, nverts, chunk):
         block = codes[start : start + chunk]
-        d = popcount_u32(block[:, None] ^ codes[None, :])
+        d = np.bitwise_count(block[:, None] ^ codes[None, :])
         ii, jj = np.nonzero((d >= 1) & (d <= t))
         keep = (ii + start) < jj
         out.append(np.column_stack([ii[keep] + start, jj[keep]]))
@@ -264,7 +263,7 @@ def gen_johnson(n: int, k: int) -> Graph:
     """k-subsets of [n], adjacent when the intersection has k-1 elements."""
     FamilySpec("johnson", n=n, k=k).validate()
     rows = hales.slice_order(n, k).rows
-    edges_mask = popcount_u32(rows[:, None] ^ rows[None, :]) == 2
+    edges_mask = np.bitwise_count(rows[:, None] ^ rows[None, :]) == 2
     ii, jj = np.nonzero(edges_mask)
     keep = ii < jj
     edges = np.column_stack([ii[keep], jj[keep]])

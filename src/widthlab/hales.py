@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._bits import popcount_u32
 from .errors import ParameterError, SizeCapError
 
 __all__ = [
@@ -54,7 +53,7 @@ class SliceOrder:
         """Exhaustive invariant check: distinct rows, all of weight k."""
         if len(np.unique(self.rows)) != len(self.rows):
             raise AssertionError("slice rows are not pairwise distinct")
-        if not (popcount_u32(self.rows) == self.k).all():
+        if not (np.bitwise_count(self.rows) == self.k).all():
             raise AssertionError("slice rows have wrong weight")
 
 
@@ -67,6 +66,8 @@ def slice_order(n: int, k: int) -> SliceOrder:
     """
     if n < 1 or k < 0 or k > n:
         raise ParameterError(f"slice_order needs 0 <= k <= n and n >= 1, got n={n} k={k}")
+    if n > 32:
+        raise SizeCapError(f"words are uint32 bitmasks, so slice_order is capped at n=32, got n={n}")
 
     def base(length: int, weight: int) -> np.ndarray:
         if weight == 0:

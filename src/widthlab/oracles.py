@@ -18,7 +18,6 @@ from itertools import combinations
 import numpy as np
 
 from . import _kernels
-from ._bits import popcount_u32
 from .errors import ParameterError, PreconditionError, SizeCapError
 from .graphs import Graph
 from .hales import slice_order
@@ -375,8 +374,8 @@ def max_cross_intersecting_sum(n: int, k: int, cap: int = CROSS_CAP) -> int:
     for bit in range(m):
         lo = 1 << bit
         union[lo : 2 * lo] = union[:lo] | disjoint[bit]
-    pop_a = popcount_u32(np.arange(size, dtype=np.uint32))
-    pop_u = popcount_u32(union)
+    pop_a = np.bitwise_count(np.arange(size, dtype=np.uint32))
+    pop_u = np.bitwise_count(union).astype(np.int64)  # in uint8 the -1 below would read 255
     valid = pop_u < m  # partner family nonempty
     valid[0] = False  # A nonempty
     totals = np.where(valid, pop_a + (m - pop_u), -1)

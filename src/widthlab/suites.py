@@ -291,9 +291,12 @@ def _job_kneser_core() -> list:
     twj, order_j = oracles.exact_treewidth(j52)
     twbk, _ = oracles.exact_treewidth(bk52)
     recs.append(_rec_cmp("kneser tw_bk_le_tw_j", twbk <= twj, f"tw(BK)={twbk} <= tw(J)={twj}", "tw(BK) <= tw(J)"))
-    recs.append(_rec_cmp("kneser degree_bound_j", twj >= 6, f"tw(J)={twj} >= 6", "tw(J) >= min degree 6"))
-    recs.append(_rec_cmp("kneser spectral_bound_bk", bounds.bk_spectral_lb(2) <= twbk, f"{bounds.bk_spectral_lb(2)} <= {twbk}", "spectral lb <= tw(BK)"))
-    recs.append(_rec_cmp("kneser slice_bw_dominates", widthcalc.johnson_slice_bandwidth(5, 2) >= twj, f"7 >= {twj}", "slice bandwidth >= tw(J)"))
+    delta = bounds.degree_lower_bound(j52)
+    recs.append(_rec_cmp("kneser degree_bound_j", twj >= delta, f"tw(J)={twj} >= {delta}", f"tw(J) >= min degree {delta}"))
+    spectral = bounds.bk_spectral_lb(2)
+    recs.append(_rec_cmp("kneser spectral_bound_bk", spectral <= twbk, f"{spectral} <= {twbk}", "spectral lb <= tw(BK)"))
+    slice_bw = widthcalc.johnson_slice_bandwidth(5, 2)
+    recs.append(_rec_cmp("kneser slice_bw_dominates", slice_bw >= twj, f"{slice_bw} >= {twj}", "slice bandwidth >= tw(J)"))
     cert = decomp.fillin_chordal(j52, order_j)
     recs.append(_rec("kneser fillin_width_vs_tw", cert.omega - 1, twj))
     merged = decomp.bk_prime(5, 2, cert)

@@ -32,7 +32,6 @@ from functools import lru_cache
 import numpy as np
 
 from . import hales
-from ._bits import xor_popcount_u8
 from .errors import InfeasibleError, ParameterError, SizeCapError, UndefinedValueError
 
 __all__ = [
@@ -116,7 +115,7 @@ def distance_block(n: int, k: int, kp: int) -> np.ndarray:
     cols = hales.slice_order(n, kp).rows
     if len(rows) * len(cols) > BLOCK_MAX_ELEMS:
         raise SizeCapError(f"block with {len(rows)}x{len(cols)} entries exceeds the dense cap")
-    return xor_popcount_u8(rows, cols)
+    return np.bitwise_count(rows[:, None] ^ cols[None, :])
 
 
 def assemble_block(t: int, n: int, k: int, kp: int) -> BooleanBlock:
@@ -155,7 +154,7 @@ def assemble_full(t: int, n: int) -> BooleanBlock:
     bits = np.empty((size, size), dtype=np.uint8)
     chunk = max(1, (1 << 24) // size)
     for start in range(0, size, chunk):
-        bits[start : start + chunk] = _within(xor_popcount_u8(rows[start : start + chunk], rows), t)
+        bits[start : start + chunk] = _within(np.bitwise_count(rows[start : start + chunk, None] ^ rows[None, :]), t)
     return BooleanBlock(bits, (t, n, None), (t, n, None))
 
 

@@ -30,6 +30,26 @@ def test_gen_bad_parameters(capsys):
     assert run(["gen", "--family", "petersen", "--n", "6", "--k", "3"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--family", "bipartite_kneser", "--n", "40", "--k", "1"],
+        ["gen", "--family", "hamming", "--n", "33"],
+    ],
+)
+def test_gen_beyond_word_width_is_usage_error(argv, capsys):
+    assert run(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_flag_a_subcommand_ignores_is_usage_error(tmp_path):
+    # bw never writes a file, so --out is not one of its flags
+    with pytest.raises(SystemExit) as err:
+        run(["bw", "--t", "1", "--n", "3", "--out", str(tmp_path / "f")])
+    assert err.value.code == 2
+    assert not (tmp_path / "f").exists()
+
+
 def test_hales_csv(tmp_path):
     out = tmp_path / "order.csv"
     assert run(["hales", "--n", "3", "--out", str(out)]) == 0
@@ -103,7 +123,8 @@ def test_oracle_json(tmp_path):
 
 def test_suite_theorem1_passes(tmp_path, capsys):
     out = tmp_path / "r.json"
-    assert run(["suite", "--name", "theorem1", "--out", str(out), "--format", "json"]) == 0
+    # narrower than the defaults, which the shared suite runner already covers
+    assert run(["suite", "--name", "theorem1", "--param", "n_max=3", "--out", str(out), "--format", "json"]) == 0
     payload = json.loads(out.read_text())
     assert payload["records"]
     assert all(r["equal"] for r in payload["records"])

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from widthlab import graphs, hales, oracles, widthcalc
-from widthlab._bits import popcount_u32
 from widthlab.errors import ParameterError, SizeCapError
 
 
@@ -63,7 +62,7 @@ def test_global_order_prefix_is_weight_ball():
 
     for n in range(1, 7):
         order = hales.hales_order(n)
-        weights = popcount_u32(order.rows)
+        weights = np.array([int(r).bit_count() for r in order.rows])
         for k in range(n + 1):
             cut = sum(math.comb(n, i) for i in range(k + 1))
             assert set(np.nonzero(weights <= k)[0]) == set(range(cut))
@@ -72,7 +71,7 @@ def test_global_order_prefix_is_weight_ball():
 def test_global_order_restriction_is_slice_order():
     for n in range(1, 7):
         order = hales.hales_order(n)
-        weights = popcount_u32(order.rows)
+        weights = np.array([int(r).bit_count() for r in order.rows])
         for k in range(n + 1):
             restricted = order.rows[weights == k]
             assert np.array_equal(restricted, hales.slice_order(n, k).rows)
@@ -114,6 +113,13 @@ def test_size_cap():
     g = graphs.gen_hamming(1, 2, 5)
     with pytest.raises(SizeCapError):
         hales.verify_hales_property(g, limit=16)
+
+
+def test_slice_word_width_cap():
+    # words are uint32 bitmasks: n = 32 is the widest slice
+    assert hales.slice_order(32, 1).rows.tolist() == [1 << j for j in range(31, -1, -1)]
+    with pytest.raises(SizeCapError):
+        hales.slice_order(33, 1)
 
 
 def test_ordering_bijectivity_enforced():

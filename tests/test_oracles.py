@@ -191,35 +191,6 @@ def test_transversal_rejects_empty_edge():
         oracles.exact_transversal(bounds.Hypergraph(2, (frozenset(),)))
 
 
-ZOO = [
-    path(5),
-    cycle(4),
-    cycle(5),
-    complete(4),
-    graphs.gen_petersen(5, 2),
-    graphs.gen_johnson(5, 2),
-    graphs.gen_hamming(1, 2, 3),
-    graphs.gen_hamming(2, 2, 3),
-    graphs.gen_hamming(1, 3, 2),
-]
-
-
-@pytest.mark.parametrize("g", ZOO, ids=lambda g: f"n{g.n}m{g.num_edges}")
-def test_width_parameter_sandwich(g):
-    tw, _ = oracles.exact_treewidth(g)
-    pw, _ = oracles.exact_pathwidth(g)
-    assert tw <= pw
-    assert g.min_degree() <= tw
-    if g.num_vertices <= oracles.BW_CAP:
-        bw, _ = oracles.exact_bandwidth(g)
-        assert pw <= bw
-        table = oracles.bv_table(g)
-        assert max(int(x) for x in table[1:]) <= bw
-        assert all(pw >= int(table[s]) for s in range(1, g.num_vertices + 1))
-    sep = oracles.min_balanced_separator(g, tw + 1)
-    assert sep is not None
-
-
 # ----------------------------------------------------------------------
 # oracle-vs-oracle: subset DPs against full permutation enumeration
 # ----------------------------------------------------------------------

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from widthlab import graphs, hales, oracles, suites, widthcalc as wc
-from widthlab._bits import popcount_u32
 from widthlab.errors import ParameterError, SizeCapError, UndefinedValueError
 
 NEG = wc.NEG_INF
@@ -40,7 +39,8 @@ def _block_bits_reference(t, n, k, kp):
         return np.zeros((0, 0), dtype=np.uint8)
     rows = hales.slice_order(n, k).rows
     cols = hales.slice_order(n, kp).rows
-    d = popcount_u32(rows[:, None] ^ cols[None, :])
+    x = rows[:, None] ^ cols[None, :]
+    d = np.unpackbits(x.view(np.uint8)).reshape(*x.shape, 32).sum(axis=2)
     return ((d >= 1) & (d <= t)).astype(np.uint8)
 
 
