@@ -1,7 +1,6 @@
-"""Hot kernels: subset dynamic programs, boundary sweeps, certificate scans.
+"""Hot kernels: subset dynamic programs, boundary sweeps, the bag-occurrence scan.
 
-Every kernel has one implementation, in numpy (the bramble
-connectivity scan floods Python integers); nothing is jitted. In the
+Every kernel has one implementation, in numpy; nothing is jitted. In the
 subset DPs a vertex subset is an int64 bitmask (no oracle here admits
 more than 25 vertices), so one word holds a whole subset and
 floods/boundaries are a handful of bitwise operations on arrays of
@@ -168,62 +167,3 @@ def bag_occurrence(flat: np.ndarray, offsets: np.ndarray, nverts: int):
     count = np.bincount(v, minlength=nverts)
     dup = np.bincount(flat, minlength=nverts) - count
     return lo, hi, count, dup
-
-
-def touch_scan(closures: np.ndarray, sets: np.ndarray):
-    """First pair (i, j) with closure(i) disjoint from set(j), or (-1, -1)."""
-    closures = np.ascontiguousarray(closures, dtype=np.uint64)
-    sets = np.ascontiguousarray(sets, dtype=np.uint64)
-    for i in range(sets.shape[0]):
-        hits = np.any(closures[i][None, :] & sets[i + 1 :], axis=1)
-        misses = np.nonzero(~hits)[0]
-        if misses.size:
-            return i, int(i + 1 + misses[0])
-    return -1, -1
-
-
-def closure_rows(packed: np.ndarray, eu: np.ndarray, ev: np.ndarray) -> np.ndarray:
-    """Packed row sets extended by their graph neighborhoods (edge list input)."""
-    packed = np.ascontiguousarray(packed, dtype=np.uint64)
-    eu = np.ascontiguousarray(eu, dtype=np.int64)
-    ev = np.ascontiguousarray(ev, dtype=np.int64)
-    clo = packed.copy()
-    one = np.uint64(1)
-    euw, eub = eu >> 6, (eu & 63).astype(np.uint64)
-    evw, evb = ev >> 6, (ev & 63).astype(np.uint64)
-    for w in range(packed.shape[1]):
-        for srcw, srcb, dstb in ((euw, eub, evb), (evw, evb, eub)):
-            into = (evw == w) if srcw is euw else (euw == w)
-            if not into.any():
-                continue
-            # one (rows x edges) temporary, shifted in place: source bit -> destination bit
-            moved = packed[:, srcw[into]]
-            moved >>= srcb[into]
-            moved &= one
-            moved <<= dstb[into]
-            clo[:, w] |= np.bitwise_or.reduce(moved, axis=1)
-    return clo
-
-
-def _unpack_int(row: np.ndarray) -> int:
-    return int.from_bytes(row.astype("<u8", copy=False).tobytes(), "little")
-
-
-def connected_rows(packed: np.ndarray, nbr_words: np.ndarray) -> int:
-    """Index of the first row that does not induce a connected subgraph, or -1."""
-    nbrs = [_unpack_int(nbr_words[v]) for v in range(nbr_words.shape[0])]
-    for i in range(packed.shape[0]):
-        bits = _unpack_int(packed[i])
-        if bits == 0:
-            return i
-        comp = bits & -bits
-        stack = comp
-        while stack:
-            b = stack & -stack
-            stack ^= b
-            grow = nbrs[b.bit_length() - 1] & bits & ~comp
-            comp |= grow
-            stack |= grow
-        if comp != bits:
-            return i
-    return -1

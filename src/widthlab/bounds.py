@@ -2,12 +2,15 @@
 
 The double-cycle bramble puts, at every start position i, a window of
 t+1 consecutive outer vertices plus the t+1 inner vertices reachable by
-skip steps from the window's end, with t = ceil(n / (2k+2)). Claimed
-spectra are checked against integer trace moments in exact arithmetic
-rather than by floating point eigensolvers. The moment match is only a
-necessary condition, not a certificate: the false BK(7,3) spectrum
-((4,1),(3,5),(2,20),(0,15),(-1,9),(-2,10),(-3,10)) matches the first
-four moments (ROADMAP item 3, an exact spectrum certificate).
+skip steps from the window's end, with t = ceil(n / (2k+2)). A bramble
+is validated on python int bitmasks, one per set and one per vertex
+neighbourhood, so its host graph is capped at ``BITSET_MAX_VERTICES``
+(4096) vertices. Claimed spectra are checked against integer trace
+moments in exact arithmetic rather than by floating point eigensolvers.
+The moment match is only a necessary condition, not a certificate:
+the false BK(7,3) spectrum ((4,1),(3,5),(2,20),(0,15),(-1,9),(-2,10),
+(-3,10)) matches the first four moments (ROADMAP item 3, an exact
+spectrum certificate).
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import _kernels
 from .errors import HypothesisError, ParameterError, PreconditionError, SizeCapError
 from .graphs import Graph
 from .widthcalc import binom_ext
@@ -97,36 +99,42 @@ def petersen_bramble(n: int, k: int) -> Bramble:
     return Bramble(tuple(sets))
 
 
-def _pack_rows(rows, num_vertices: int) -> np.ndarray:
-    """Pack vertex-id collections into (len(rows), words) uint64 bitmask rows."""
-    words = max(1, (num_vertices + 63) // 64)
-    m = len(rows)
-    sizes = np.fromiter((len(s) for s in rows), dtype=np.int64, count=m)
-    total = int(sizes.sum())
-    cols = np.fromiter((v for s in rows for v in s), dtype=np.int64, count=total)
-    if total and (cols.min() < 0 or cols.max() >= num_vertices):
-        raise ParameterError("vertex id out of range")
-    member = np.zeros((m, words * 64), dtype=np.uint8)
-    member[np.repeat(np.arange(m), sizes), cols] = 1
-    return np.ascontiguousarray(np.packbits(member, axis=1, bitorder="little")).view(np.uint64)
-
-
 def validate_bramble(g: Graph, bramble: Bramble) -> BrambleReport:
     """Connectivity of every set, then pairwise touching over all pairs.
 
-    Touching means intersecting or joined by an edge; both checks run
-    on packed bitmask rows (a set's closure is the set plus its
-    neighborhood).
+    Vertex ids are python ints in range(num_vertices). Sets and
+    neighbourhoods are python int bitmasks, so the host is capped at
+    ``BITSET_MAX_VERTICES`` vertices (:meth:`Graph.neighbor_masks`).
+    Touching means intersecting or joined by an edge: set j meets the
+    closure of set i (the set plus its neighbourhood). An empty set is
+    disconnected.
     """
-    packed = _pack_rows(bramble.sets, g.num_vertices)
-    nbr_words = _pack_rows([g.neighbors(v) for v in range(g.num_vertices)], g.num_vertices)
-    bad = _kernels.connected_rows(packed, nbr_words)
-    if bad >= 0:
-        return BrambleReport(False, first_disconnected=bad)
-    closures = _kernels.closure_rows(packed, g.edges[:, 0], g.edges[:, 1])
-    i, j = _kernels.touch_scan(closures, packed)
-    if i >= 0:
-        return BrambleReport(False, first_nontouching=(int(i), int(j)))
+    n, nbrs = g.num_vertices, g.neighbor_masks()
+    masks, closures = [], []
+    for s in bramble.sets:
+        bits = closure = 0
+        for v in s:
+            if not 0 <= v < n:
+                raise ParameterError("vertex id out of range")
+            bits |= 1 << v
+            closure |= nbrs[v]
+        masks.append(bits)
+        closures.append(bits | closure)
+    for i, bits in enumerate(masks):
+        stack = bits & -bits  # flood from the lowest member
+        rest = bits ^ stack  # members not reached yet
+        while stack:
+            b = stack & -stack
+            stack ^= b
+            grow = nbrs[b.bit_length() - 1] & rest
+            rest ^= grow
+            stack |= grow
+        if not bits or rest:
+            return BrambleReport(False, first_disconnected=i)
+    for i, closure in enumerate(closures):
+        for j in range(i + 1, len(masks)):
+            if not closure & masks[j]:
+                return BrambleReport(False, first_nontouching=(i, j))
     return BrambleReport(True)
 
 

@@ -14,7 +14,7 @@ import json
 import sys
 
 from . import bounds, decomp, graphs, hales, oracles, suites, widthcalc
-from .errors import HypothesisError, ParameterError, ParseError, SizeCapError, WidthLabError
+from .errors import HypothesisError, ParameterError, ParseError, SizeCapError, StructuralError, WidthLabError
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -229,7 +229,7 @@ def _cmd_suite(args) -> int:
             raise ParameterError(f"suite parameters look like name=value, got {token!r}")
         key, val = token.split("=", 1)
         params[key] = int(val)
-    config = suites.SuiteConfig(args.name, params=params, fmt=args.format, out=args.out, workers=args.workers)
+    config = suites.SuiteConfig(args.name, params=params, fmt=args.format, workers=args.workers)
     records = suites.run_suite(config)
     with _out_stream(args.out) as fh:
         suites.write_report(config, records, fh)
@@ -311,7 +311,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ParameterError, ParseError, SizeCapError, HypothesisError) as exc:
+    except (ParameterError, ParseError, StructuralError, SizeCapError, HypothesisError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except WidthLabError as exc:

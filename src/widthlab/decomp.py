@@ -550,8 +550,11 @@ def write_td(d: Decomposition, num_vertices: int, path) -> None:
 def read_td(path):
     """Parse a PACE .td file; returns (Decomposition, declared_num_vertices).
 
-    Negative header counts and a bag larger than the declared max bag
-    size raise :class:`ParseError` with the offending line number.
+    Negative header counts, a bag larger than the declared max bag
+    size and an edge line naming a bag outside 1..nbags raise
+    :class:`ParseError` with the offending line number. Edges that do
+    not form a tree over the bags raise :class:`StructuralError` when
+    the decomposition is validated.
     """
     header = None
     bags = {}
@@ -593,9 +596,12 @@ def read_td(path):
             if len(parts) != 2:
                 raise ParseError("malformed bag-tree edge line", lineno)
             try:
-                edges.append((int(parts[0]) - 1, int(parts[1]) - 1))
+                a, b = int(parts[0]), int(parts[1])
             except ValueError:
                 raise ParseError("non-integer bag id in edge line", lineno)
+            if not (1 <= a <= header[0] and 1 <= b <= header[0]):
+                raise ParseError(f"edge line names a bag outside 1..{header[0]}", lineno)
+            edges.append((a - 1, b - 1))
     if header is None:
         raise ParseError("missing solution line", 1)
     nbags = header[0]

@@ -133,9 +133,9 @@ class Graph:
             )
         if self._masks is None:
             masks = [0] * self.n
-            for u, v in self.edges:
-                masks[u] |= 1 << int(v)
-                masks[v] |= 1 << int(u)
+            for u, v in self.edges.tolist():
+                masks[u] |= 1 << v
+                masks[v] |= 1 << u
             self._masks = masks
         return self._masks
 

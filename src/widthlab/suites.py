@@ -53,7 +53,6 @@ class SuiteConfig:
     name: str
     params: dict = field(default_factory=dict)
     fmt: str = "json"
-    out: str | None = None
     workers: int = 1
 
     def __post_init__(self):

@@ -1,12 +1,141 @@
 """Brambles, transversal fractions, and integer-certified spectra."""
 
+import functools
+import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from widthlab import bounds, graphs, oracles
-from widthlab.errors import HypothesisError, ParameterError, PreconditionError
+from widthlab.errors import HypothesisError, ParameterError, PreconditionError, SizeCapError
+
+# ----------------------------------------------------------------------
+# reference bramble validator: packed uint64 rows, numpy closure and
+# touch scans (the implementation validate_bramble replaced)
+# ----------------------------------------------------------------------
+
+
+def _pack_rows(rows, num_vertices: int) -> np.ndarray:
+    """Pack vertex-id collections into (len(rows), words) uint64 bitmask rows."""
+    words = max(1, (num_vertices + 63) // 64)
+    m = len(rows)
+    sizes = np.fromiter((len(s) for s in rows), dtype=np.int64, count=m)
+    total = int(sizes.sum())
+    cols = np.fromiter((v for s in rows for v in s), dtype=np.int64, count=total)
+    if total and (cols.min() < 0 or cols.max() >= num_vertices):
+        raise ParameterError("vertex id out of range")
+    member = np.zeros((m, words * 64), dtype=np.uint8)
+    member[np.repeat(np.arange(m), sizes), cols] = 1
+    return np.ascontiguousarray(np.packbits(member, axis=1, bitorder="little")).view(np.uint64)
+
+
+def touch_scan(closures: np.ndarray, sets: np.ndarray):
+    """First pair (i, j) with closure(i) disjoint from set(j), or (-1, -1)."""
+    closures = np.ascontiguousarray(closures, dtype=np.uint64)
+    sets = np.ascontiguousarray(sets, dtype=np.uint64)
+    for i in range(sets.shape[0]):
+        hits = np.any(closures[i][None, :] & sets[i + 1 :], axis=1)
+        misses = np.nonzero(~hits)[0]
+        if misses.size:
+            return i, int(i + 1 + misses[0])
+    return -1, -1
+
+
+def closure_rows(packed: np.ndarray, eu: np.ndarray, ev: np.ndarray) -> np.ndarray:
+    """Packed row sets extended by their graph neighborhoods (edge list input)."""
+    packed = np.ascontiguousarray(packed, dtype=np.uint64)
+    eu = np.ascontiguousarray(eu, dtype=np.int64)
+    ev = np.ascontiguousarray(ev, dtype=np.int64)
+    clo = packed.copy()
+    one = np.uint64(1)
+    euw, eub = eu >> 6, (eu & 63).astype(np.uint64)
+    evw, evb = ev >> 6, (ev & 63).astype(np.uint64)
+    for w in range(packed.shape[1]):
+        for srcw, srcb, dstb in ((euw, eub, evb), (evw, evb, eub)):
+            into = (evw == w) if srcw is euw else (euw == w)
+            if not into.any():
+                continue
+            # one (rows x edges) temporary, shifted in place: source bit -> destination bit
+            moved = packed[:, srcw[into]]
+            moved >>= srcb[into]
+            moved &= one
+            moved <<= dstb[into]
+            clo[:, w] |= np.bitwise_or.reduce(moved, axis=1)
+    return clo
+
+
+def _unpack_int(row: np.ndarray) -> int:
+    return int.from_bytes(row.astype("<u8", copy=False).tobytes(), "little")
+
+
+def connected_rows(packed: np.ndarray, nbr_words: np.ndarray) -> int:
+    """Index of the first row that does not induce a connected subgraph, or -1."""
+    nbrs = [_unpack_int(nbr_words[v]) for v in range(nbr_words.shape[0])]
+    for i in range(packed.shape[0]):
+        bits = _unpack_int(packed[i])
+        if bits == 0:
+            return i
+        comp = bits & -bits
+        stack = comp
+        while stack:
+            b = stack & -stack
+            stack ^= b
+            grow = nbrs[b.bit_length() - 1] & bits & ~comp
+            comp |= grow
+            stack |= grow
+        if comp != bits:
+            return i
+    return -1
+
+
+def _validate_bramble_ref(g, bramble):
+    packed = _pack_rows(bramble.sets, g.num_vertices)
+    nbr_words = _pack_rows([g.neighbors(v) for v in range(g.num_vertices)], g.num_vertices)
+    bad = connected_rows(packed, nbr_words)
+    if bad >= 0:
+        return bounds.BrambleReport(False, first_disconnected=bad)
+    closures = closure_rows(packed, g.edges[:, 0], g.edges[:, 1])
+    i, j = touch_scan(closures, packed)
+    if i >= 0:
+        return bounds.BrambleReport(False, first_nontouching=(int(i), int(j)))
+    return bounds.BrambleReport(True)
+
+
+def _random_graph(n, picks):
+    pairs = list(itertools.combinations(range(n), 2))
+    return graphs.Graph(n, [pairs[i % len(pairs)] for i in picks] if pairs else [])
+
+
+def _grown(g, seed, picks):
+    """A connected set: from seed, add one frontier vertex per pick."""
+    members = {seed}
+    for p in picks:
+        frontier = sorted({int(w) for v in members for w in g.neighbors(v)} - members)
+        if not frontier:
+            break
+        members.add(frontier[p % len(frontier)])
+    return frozenset(members)
+
+
+@st.composite
+def bramble_cases(draw):
+    """A random graph on n <= 30 vertices with a family of arbitrary and connected sets."""
+    n = draw(st.integers(1, 30))
+    g = _random_graph(n, draw(st.lists(st.integers(0, 434), max_size=60)))
+    vertex = st.integers(0, n - 1)
+    arbitrary = st.frozensets(vertex, max_size=n)  # empty and disconnected sets among them
+    connected = st.builds(functools.partial(_grown, g), vertex, st.lists(st.integers(0, 29), max_size=12))
+    sets = draw(st.lists(st.one_of(arbitrary, connected), max_size=10))
+    return g, bounds.Bramble(tuple(sets))
+
+
+# ----------------------------------------------------------------------
+# brambles
+# ----------------------------------------------------------------------
 
 
 def test_bramble_shape_small():
@@ -49,8 +178,35 @@ def test_bramble_validator_detects_problems():
     nontouching = bounds.Bramble((frozenset({0}), frozenset({7})))  # v_1 vs u_3
     rep = bounds.validate_bramble(g, nontouching)
     assert not rep.ok and rep.first_nontouching == (0, 1)
-    with pytest.raises(ParameterError):
-        bounds.validate_bramble(g, bounds.Bramble((frozenset({99}),)))
+    for v in (-1, 10, 99):  # ids outside range(10)
+        with pytest.raises(ParameterError):
+            bounds.validate_bramble(g, bounds.Bramble((frozenset({0}), frozenset({v}))))
+    with pytest.raises(SizeCapError):  # the int bitmasks stop at BITSET_MAX_VERTICES = 4096
+        bounds.validate_bramble(graphs.Graph(4097, []), bounds.Bramble((frozenset({0}),)))
+
+
+def test_bramble_validator_matches():
+    for n, k, ok in [(5, 2, True), (30, 3, True), (61, 2, True), (10, 4, False), (14, 4, False), (18, 4, False), (20, 4, False)]:
+        g = graphs.gen_petersen(n, k)
+        bramble = bounds.petersen_bramble(n, k)
+        report = bounds.validate_bramble(g, bramble)
+        assert report.ok is ok
+        assert report == _validate_bramble_ref(g, bramble)
+
+
+_P52 = graphs.gen_petersen(5, 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(bramble_cases())
+@example((_P52, bounds.Bramble(())))  # no sets
+@example((_P52, bounds.Bramble((frozenset({0, 1}), frozenset()))))  # an empty set after a connected one
+@example((_P52, bounds.Bramble((frozenset({0, 1}), frozenset({0, 2})))))  # the second set is disconnected
+@example((_P52, bounds.Bramble((frozenset({0, 1, 2}), frozenset({3}), frozenset({7})))))  # only (1, 2) does not touch
+@example((graphs.Graph(1, []), bounds.Bramble((frozenset({0}),))))
+def test_bramble_validator_matches_reference(case):
+    g, bramble = case
+    assert bounds.validate_bramble(g, bramble) == _validate_bramble_ref(g, bramble)
 
 
 def test_transversal_fraction_examples():

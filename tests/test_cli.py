@@ -90,6 +90,25 @@ def test_decomp_malformed_graph_is_usage_error(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "edge_lines, message",
+    [
+        ("1 2\n1 2\n", "bag shape contains a cycle"),
+        ("1 2\n", "a tree on 3 bags needs 2 edges, got 1"),
+        ("1 2\n2 4\n", "line 6: edge line names a bag outside 1..3"),
+    ],
+)
+def test_decomp_malformed_td_shape_is_usage_error(tmp_path, capsys, edge_lines, message):
+    gr = tmp_path / "g.gr"
+    td = tmp_path / "t.td"
+    assert run(["gen", "--family", "petersen", "--n", "5", "--k", "2", "--out", str(gr)]) == 0
+    td.write_text("s td 3 10 10\nb 1 1 2 3 4 5 6 7 8 9 10\nb 2 1\nb 3 2\n" + edge_lines)
+    capsys.readouterr()
+    assert run(["decomp", "--gr", str(gr), "--td", str(td)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
 def test_decomp_verbatim_gap_is_mismatch(capsys):
     assert run(["decomp", "--n", "5", "--k", "2", "--mode", "verbatim"]) == 1
     assert "uncovered=[(2, 7)]" in capsys.readouterr().out

@@ -11,7 +11,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from widthlab import _kernels, bounds, decomp, graphs, oracles
+from widthlab import _kernels, decomp, graphs, oracles
 
 # ----------------------------------------------------------------------
 # reference loops (python bigints / numpy)
@@ -242,10 +242,3 @@ def test_decomposition_validator_matches():
             assert report.ok and report.width == 6
         else:
             assert set(report.uncovered_edges) == {(2, 11)}
-
-
-def test_bramble_validator_matches():
-    for (n, k, ok) in [(5, 2, True), (30, 3, True), (10, 4, False)]:
-        g = graphs.gen_petersen(n, k)
-        report = bounds.validate_bramble(g, bounds.petersen_bramble(n, k))
-        assert report.ok is ok
