@@ -1,4 +1,4 @@
-"""Hot kernels: subset dynamic programs, boundary sweeps, the bag-occurrence scan.
+"""Hot kernels: subset dynamic programs and boundary sweeps.
 
 Every kernel has one implementation, in numpy; nothing is jitted. In the
 subset DPs a vertex subset is an int64 bitmask (no oracle here admits
@@ -137,33 +137,3 @@ def bv_table(nbrs: np.ndarray, n: int) -> np.ndarray:
     for k, s in _layer_blocks(n):
         best[k] = min(best[k], int(np.bitwise_count(nb(s) & ~s).min()))
     return best
-
-
-def bag_occurrence(flat: np.ndarray, offsets: np.ndarray, nverts: int):
-    """Per-vertex first/last/number-of bags (plus in-bag duplicate counts).
-
-    Vertices in no bag get first = last = -1 and zero counts. One sort
-    of the keys ``vertex * nbags + bag`` groups the bags of each vertex
-    in order.
-    """
-    flat = np.asarray(flat, dtype=np.int64)
-    offsets = np.asarray(offsets, dtype=np.int64)
-    nbags = len(offsets) - 1
-    keys = flat * nbags
-    keys += np.repeat(np.arange(nbags, dtype=np.int64), np.diff(offsets))
-    keys.sort()
-    distinct = np.ones(len(keys), dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=distinct[1:])
-    keys = keys[distinct]  # one key per (vertex, bag) pair
-    v = keys // nbags
-    first = np.ones(len(v), dtype=bool)  # first / last key of each vertex
-    np.not_equal(v[1:], v[:-1], out=first[1:])
-    last = np.ones(len(v), dtype=bool)
-    last[:-1] = first[1:]
-    lo = np.full(nverts, -1, dtype=np.int64)
-    hi = np.full(nverts, -1, dtype=np.int64)
-    lo[v[first]] = keys[first] % nbags
-    hi[v[last]] = keys[last] % nbags
-    count = np.bincount(v, minlength=nverts)
-    dup = np.bincount(flat, minlength=nverts) - count
-    return lo, hi, count, dup

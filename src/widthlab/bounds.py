@@ -102,21 +102,22 @@ def petersen_bramble(n: int, k: int) -> Bramble:
 def validate_bramble(g: Graph, bramble: Bramble) -> BrambleReport:
     """Connectivity of every set, then pairwise touching over all pairs.
 
-    Vertex ids are python ints in range(num_vertices). Sets and
-    neighbourhoods are python int bitmasks, so the host is capped at
-    ``BITSET_MAX_VERTICES`` vertices (:meth:`Graph.neighbor_masks`).
-    Touching means intersecting or joined by an edge: set j meets the
-    closure of set i (the set plus its neighbourhood). An empty set is
-    disconnected.
+    Vertex ids are integers (python or numpy) in range(num_vertices).
+    Sets and neighbourhoods are python int bitmasks, so the host is
+    capped at ``BITSET_MAX_VERTICES`` vertices
+    (:meth:`Graph.neighbor_masks`). Touching means intersecting or
+    joined by an edge: set j meets the closure of set i (the set plus
+    its neighbourhood). An empty set is disconnected.
     """
     n, nbrs = g.num_vertices, g.neighbor_masks()
+    single = [1 << v for v in range(n)]  # looked up, not shifted, so numpy ids stay exact
     masks, closures = [], []
     for s in bramble.sets:
         bits = closure = 0
         for v in s:
             if not 0 <= v < n:
                 raise ParameterError("vertex id out of range")
-            bits |= 1 << v
+            bits |= single[v]
             closure |= nbrs[v]
         masks.append(bits)
         closures.append(bits | closure)

@@ -2,8 +2,10 @@
 
 Subcommands: gen, hales, bw, radius, decomp, bramble, spectrum, oracle,
 suite, table. Exit codes: 0 when everything checked out (or failures
-are explicitly flagged as known), 1 on an identity failure, 2 on usage,
-malformed input files or size-cap errors.
+are explicitly flagged as known), 1 when a command ran and found an
+identity failure, 2 on a usage error or any raised widthlab error
+(malformed input, a size cap, an unmet precondition): a raised error
+refuses the input and never reports an identity failure.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import json
 import sys
 
 from . import bounds, decomp, graphs, hales, oracles, suites, widthcalc
-from .errors import HypothesisError, ParameterError, ParseError, SizeCapError, StructuralError, WidthLabError
+from .errors import HypothesisError, ParameterError, WidthLabError
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -311,12 +313,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ParameterError, ParseError, StructuralError, SizeCapError, HypothesisError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except WidthLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MISMATCH
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

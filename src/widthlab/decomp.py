@@ -1,10 +1,11 @@
 """Decomposition certificates: containers, validators, constructors.
 
 A decomposition is a sequence of bags plus a tree over bag indices;
-``tree_edges is None`` marks the path shape (bag i joined to bag i+1),
-which is also the validator's fast route. Bags are stored flat
-(``flat``/``offsets``) so the double-cycle sweep over thousands of
-instances stays allocation-bound.
+``tree_edges is None`` marks the path shape (bag i joined to bag i+1).
+One validator serves both shapes: it roots the shape at bag 0 and
+answers every question by searching one sorted array of (vertex, bag)
+keys. Bags are stored flat (``flat``/``offsets``) so the double-cycle
+sweep over thousands of instances stays allocation-bound.
 
 The double-cycle path decomposition ships in two modes: ``verbatim``
 transcribes the original recipe unchanged, which for inner skip k >= 2
@@ -20,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .errors import ParameterError, ParseError, PreconditionError, StructuralError
 from .graphs import Graph, gen_bipartite_kneser, gen_hamming, gen_johnson
 
@@ -79,9 +79,6 @@ class Decomposition:
         for i in range(self.num_bags):
             yield self.bag(i)
 
-    def bag_sets(self) -> list:
-        return [set(map(int, self.bag(i))) for i in range(self.num_bags)]
-
     @property
     def width(self) -> int:
         """Max raw bag size minus one.
@@ -117,99 +114,27 @@ class DecompositionReport:
     disconnected_vertices: tuple
 
 
-def _check_shape(d: Decomposition) -> None:
-    nb = d.num_bags
-    if d.flat.size and (d.flat.min() < 0):
-        raise StructuralError("negative vertex id in a bag")
-    if d.tree_edges is None:
-        return
-    e = d.tree_edges
+def _tree_parents(d: Decomposition) -> np.ndarray:
+    """Parent of every bag in the tree rooted at bag 0 (-1 at the root); rejects a non-tree."""
+    nb, e = d.num_bags, d.tree_edges
     if e.shape[0] != max(nb - 1, 0):
         raise StructuralError(f"a tree on {nb} bags needs {nb - 1} edges, got {e.shape[0]}")
     if e.size and (e.min() < 0 or e.max() >= nb):
         raise StructuralError("tree edge endpoint out of range")
-    parent = list(range(nb))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in e:
-        ru, rv = find(int(u)), find(int(v))
-        if ru == rv:
-            raise StructuralError("bag shape contains a cycle")
-        parent[ru] = rv
-    if nb and len({find(i) for i in range(nb)}) != 1:
-        raise StructuralError("bag shape is disconnected")
-
-
-def _validate_path(g: Graph, d: Decomposition) -> DecompositionReport:
-    lo, hi, count, dup = _kernels.bag_occurrence(d.flat, d.offsets, g.num_vertices)
-    present = count > 0
-    missing = np.nonzero(~present)[0]
-    disconnected = np.nonzero(present & (count != hi - lo + 1))[0]
-    ok_trace = np.zeros(g.num_vertices, dtype=bool)
-    ok_trace[present] = True
-    ok_trace[disconnected] = False
-    uncovered = []
-    if g.num_edges:
-        eu, ev = g.edges[:, 0], g.edges[:, 1]
-        fast = ok_trace[eu] & ok_trace[ev]
-        overlap = (lo[eu] <= hi[ev]) & (lo[ev] <= hi[eu])
-        for idx in np.nonzero(fast & ~overlap)[0]:
-            uncovered.append((int(eu[idx]), int(ev[idx])))
-        slow = np.nonzero(~fast)[0]
-        if slow.size:
-            occ = {}
-            for b in range(d.num_bags):
-                for v in map(int, d.bag(b)):
-                    occ.setdefault(v, set()).add(b)
-            for idx in slow:
-                u, v = int(eu[idx]), int(ev[idx])
-                if not (occ.get(u, set()) & occ.get(v, set())):
-                    uncovered.append((u, v))
-    if int(dup.sum()):
-        width = max(len(set(map(int, b))) for b in d.bags()) - 1
-    else:
-        width = int(np.diff(d.offsets).max()) - 1 if d.num_bags else -1
-    uncovered = tuple(sorted(uncovered))
-    ok = not (missing.size or uncovered or disconnected.size)
-    return DecompositionReport(
-        ok,
-        width,
-        tuple(int(v) for v in missing),
-        uncovered,
-        tuple(int(v) for v in disconnected),
-    )
-
-
-def _validate_tree(g: Graph, d: Decomposition) -> DecompositionReport:
-    sets = d.bag_sets()
-    in_bags = {}
-    for i, s in enumerate(sets):
-        for v in s:
-            in_bags.setdefault(v, []).append(i)
-    missing = tuple(v for v in range(g.num_vertices) if v not in in_bags)
-    shared = {v: 0 for v in in_bags}
-    for u, v in d.shape_edges():
-        for w in sets[int(u)] & sets[int(v)]:
-            shared[w] += 1
-    disconnected = tuple(sorted(v for v, bs in in_bags.items() if shared[v] != len(bs) - 1))
-    uncovered = []
-    for u, v in g.edges:
-        u, v = int(u), int(v)
-        bu = in_bags.get(u)
-        if bu is None or v not in in_bags:
-            uncovered.append((u, v))
-            continue
-        if not any(v in sets[i] for i in bu):
-            uncovered.append((u, v))
-    width = max((len(s) for s in sets), default=0) - 1
-    uncovered = tuple(sorted(uncovered))
-    ok = not (missing or uncovered or disconnected)
-    return DecompositionReport(ok, width, missing, uncovered, disconnected)
+    adj = [[] for _ in range(nb)]
+    for a, b in e.tolist():
+        adj[a].append(b)
+        adj[b].append(a)
+    parent = [-1] + [None] * (nb - 1)  # bag 0 is the root
+    queue = [0] if nb else []
+    for a in queue:  # breadth-first
+        for b in adj[a]:
+            if parent[b] is None:
+                parent[b] = a
+                queue.append(b)
+    if len(queue) < nb:  # nb - 1 edges leave a bag unreached only by closing a cycle
+        raise StructuralError("bag shape contains a cycle")
+    return np.asarray(parent[:nb], dtype=np.int64)
 
 
 def validate_decomposition(g: Graph, d: Decomposition) -> DecompositionReport:
@@ -217,13 +142,56 @@ def validate_decomposition(g: Graph, d: Decomposition) -> DecompositionReport:
 
     Reports the full violation lists, not just the first hit. Malformed
     shapes (cycles, bad indices) raise :class:`StructuralError` instead.
+
+    One route serves both shapes, rooted at bag 0 (in a path the parent
+    of bag b is b - 1). A (vertex, bag) pair is a *top* when the parent
+    bag does not hold the vertex, so a vertex's trace has one connected
+    piece per top: none means missing, more than one disconnected. Two
+    subtrees meet iff one holds the other's top, and this holds piece
+    by piece, so an edge is covered iff a top of one end lies in the
+    trace of the other. Every probe is a search in the sorted keys
+    ``vertex * (nbags + 1) + bag``.
     """
-    _check_shape(d)
-    if d.flat.size and d.flat.max() >= g.num_vertices:
+    flat, n, nb = d.flat, g.num_vertices, d.num_bags
+    if flat.size and flat.min() < 0:
+        raise StructuralError("negative vertex id in a bag")
+    if flat.size and flat.max() >= n:
         raise StructuralError("bag vertex id out of range for the host graph")
-    if d.is_path:
-        return _validate_path(g, d)
-    return _validate_tree(g, d)
+    stride = nb + 1  # no bag nb, so the root's parent key (v, -1) = (v - 1, nb) is never held
+    sizes = d.offsets[1:] - d.offsets[:-1]
+    keys = flat * stride + np.arange(nb, dtype=np.int64).repeat(sizes)
+    keys.sort()
+    step = np.empty(len(keys), dtype=np.int64)  # key minus the previous key
+    step[:1] = 2
+    np.subtract(keys[1:], keys[:-1], out=step[1:])
+    repeat = step == 0
+    width = int((sizes - np.bincount(keys[repeat] % stride, minlength=nb)).max(initial=0)) - 1
+    if d.is_path:  # the parent key (v, b - 1) is held iff it is the previous distinct key
+        top = step > 1
+    else:
+        parent = _tree_parents(d)
+        b = keys % stride
+        pkeys = keys + (parent[b] - b)
+        top = ~repeat & (keys.take(keys.searchsorted(pkeys), mode="clip") != pkeys)
+    top_v, top_bags = np.divmod(keys[top], stride)
+    ntops = np.bincount(top_v, minlength=n)
+    # one probe per (edge end a, top of a): does the other end c hold that top's bag?
+    eu, ev = g.edges.T
+    a, c = np.concatenate([eu, ev]), np.concatenate([ev, eu])  # each edge both ways
+    reps = ntops[a]
+    rows = np.arange(len(a)).repeat(reps)
+    # probe p of row r takes top number (first top of a) + (p - first probe of r)
+    shift = (ntops.cumsum() - ntops)[a] - (reps.cumsum() - reps)
+    probes = c[rows] * stride + top_bags[shift[rows] + np.arange(len(rows))]
+    hit = keys.take(keys.searchsorted(probes), mode="clip") == probes
+    covered = np.zeros(len(a), dtype=bool)
+    covered[rows[hit]] = True
+    covered = covered[: len(eu)] | covered[len(eu) :]
+    missing = tuple((ntops == 0).nonzero()[0].tolist())
+    disconnected = tuple((ntops > 1).nonzero()[0].tolist())
+    uncovered = tuple(map(tuple, g.edges[~covered].tolist()))  # graph edges are sorted rows
+    ok = not (missing or uncovered or disconnected)
+    return DecompositionReport(ok, width, missing, uncovered, disconnected)
 
 
 # ----------------------------------------------------------------------

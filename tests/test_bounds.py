@@ -183,6 +183,14 @@ def test_bramble_validator_detects_problems():
             bounds.validate_bramble(g, bounds.Bramble((frozenset({0}), frozenset({v}))))
     with pytest.raises(SizeCapError):  # the int bitmasks stop at BITSET_MAX_VERTICES = 4096
         bounds.validate_bramble(graphs.Graph(4097, []), bounds.Bramble((frozenset({0}),)))
+    for n, k in ((5, 2), (61, 2)):  # numpy ids, on hosts below and above 64 vertices
+        g = graphs.gen_petersen(n, k)
+        bramble = bounds.petersen_bramble(n, k)
+        as_numpy = bounds.Bramble(tuple(frozenset(np.array(sorted(s), dtype=np.int64)) for s in bramble.sets))
+        assert bounds.validate_bramble(g, as_numpy) == bounds.validate_bramble(g, bramble)
+    g = graphs.gen_petersen(61, 2)
+    rep = bounds.validate_bramble(g, bounds.Bramble((frozenset(np.array([0, 100], dtype=np.int64)),)))
+    assert not rep.ok and rep.first_disconnected == 0
 
 
 def test_bramble_validator_matches():

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from widthlab import cli, decomp, graphs, suites
+from widthlab.errors import InfeasibleError, PreconditionError, UndefinedValueError
 
 
 def run(args):
@@ -48,6 +49,17 @@ def test_flag_a_subcommand_ignores_is_usage_error(tmp_path):
         run(["bw", "--t", "1", "--n", "3", "--out", str(tmp_path / "f")])
     assert err.value.code == 2
     assert not (tmp_path / "f").exists()
+
+
+@pytest.mark.parametrize("error", [PreconditionError, UndefinedValueError, InfeasibleError])
+def test_raised_error_is_usage_error(monkeypatch, capsys, error):
+    # a raised error refuses the input; exit 1 is left to identity failures
+    def refuse(args):
+        raise error("input refused")
+
+    monkeypatch.setattr(cli, "_cmd_bw", refuse)
+    assert run(["bw", "--t", "1", "--n", "3"]) == 2
+    assert capsys.readouterr().err == "error: input refused\n"
 
 
 def test_hales_csv(tmp_path):

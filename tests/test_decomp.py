@@ -2,10 +2,232 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from widthlab import decomp, graphs, oracles
-from widthlab.decomp import Decomposition
+from widthlab.decomp import Decomposition, DecompositionReport
 from widthlab.errors import ParameterError, ParseError, PreconditionError, StructuralError
+
+# ----------------------------------------------------------------------
+# reference validator: the interval route for paths, python sets for
+# trees (the implementation validate_decomposition replaced), copied
+# unchanged except that the bag-occurrence kernel and the bag sets are
+# local
+# ----------------------------------------------------------------------
+
+
+def _bag_occurrence(flat: np.ndarray, offsets: np.ndarray, nverts: int):
+    """Per-vertex first/last/number-of bags (plus in-bag duplicate counts).
+
+    Vertices in no bag get first = last = -1 and zero counts. One sort
+    of the keys ``vertex * nbags + bag`` groups the bags of each vertex
+    in order.
+    """
+    flat = np.asarray(flat, dtype=np.int64)
+    offsets = np.asarray(offsets, dtype=np.int64)
+    nbags = len(offsets) - 1
+    keys = flat * nbags
+    keys += np.repeat(np.arange(nbags, dtype=np.int64), np.diff(offsets))
+    keys.sort()
+    distinct = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=distinct[1:])
+    keys = keys[distinct]  # one key per (vertex, bag) pair
+    v = keys // nbags
+    first = np.ones(len(v), dtype=bool)  # first / last key of each vertex
+    np.not_equal(v[1:], v[:-1], out=first[1:])
+    last = np.ones(len(v), dtype=bool)
+    last[:-1] = first[1:]
+    lo = np.full(nverts, -1, dtype=np.int64)
+    hi = np.full(nverts, -1, dtype=np.int64)
+    lo[v[first]] = keys[first] % nbags
+    hi[v[last]] = keys[last] % nbags
+    count = np.bincount(v, minlength=nverts)
+    dup = np.bincount(flat, minlength=nverts) - count
+    return lo, hi, count, dup
+
+
+def _check_shape(d: Decomposition) -> None:
+    nb = d.num_bags
+    if d.flat.size and (d.flat.min() < 0):
+        raise StructuralError("negative vertex id in a bag")
+    if d.tree_edges is None:
+        return
+    e = d.tree_edges
+    if e.shape[0] != max(nb - 1, 0):
+        raise StructuralError(f"a tree on {nb} bags needs {nb - 1} edges, got {e.shape[0]}")
+    if e.size and (e.min() < 0 or e.max() >= nb):
+        raise StructuralError("tree edge endpoint out of range")
+    parent = list(range(nb))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for u, v in e:
+        ru, rv = find(int(u)), find(int(v))
+        if ru == rv:
+            raise StructuralError("bag shape contains a cycle")
+        parent[ru] = rv
+    if nb and len({find(i) for i in range(nb)}) != 1:
+        raise StructuralError("bag shape is disconnected")
+
+
+def _validate_path(g: graphs.Graph, d: Decomposition) -> DecompositionReport:
+    lo, hi, count, dup = _bag_occurrence(d.flat, d.offsets, g.num_vertices)
+    present = count > 0
+    missing = np.nonzero(~present)[0]
+    disconnected = np.nonzero(present & (count != hi - lo + 1))[0]
+    ok_trace = np.zeros(g.num_vertices, dtype=bool)
+    ok_trace[present] = True
+    ok_trace[disconnected] = False
+    uncovered = []
+    if g.num_edges:
+        eu, ev = g.edges[:, 0], g.edges[:, 1]
+        fast = ok_trace[eu] & ok_trace[ev]
+        overlap = (lo[eu] <= hi[ev]) & (lo[ev] <= hi[eu])
+        for idx in np.nonzero(fast & ~overlap)[0]:
+            uncovered.append((int(eu[idx]), int(ev[idx])))
+        slow = np.nonzero(~fast)[0]
+        if slow.size:
+            occ = {}
+            for b in range(d.num_bags):
+                for v in map(int, d.bag(b)):
+                    occ.setdefault(v, set()).add(b)
+            for idx in slow:
+                u, v = int(eu[idx]), int(ev[idx])
+                if not (occ.get(u, set()) & occ.get(v, set())):
+                    uncovered.append((u, v))
+    if int(dup.sum()):
+        width = max(len(set(map(int, b))) for b in d.bags()) - 1
+    else:
+        width = int(np.diff(d.offsets).max()) - 1 if d.num_bags else -1
+    uncovered = tuple(sorted(uncovered))
+    ok = not (missing.size or uncovered or disconnected.size)
+    return DecompositionReport(
+        ok,
+        width,
+        tuple(int(v) for v in missing),
+        uncovered,
+        tuple(int(v) for v in disconnected),
+    )
+
+
+def _validate_tree(g: graphs.Graph, d: Decomposition) -> DecompositionReport:
+    sets = [set(map(int, d.bag(i))) for i in range(d.num_bags)]
+    in_bags = {}
+    for i, s in enumerate(sets):
+        for v in s:
+            in_bags.setdefault(v, []).append(i)
+    missing = tuple(v for v in range(g.num_vertices) if v not in in_bags)
+    shared = {v: 0 for v in in_bags}
+    for u, v in d.shape_edges():
+        for w in sets[int(u)] & sets[int(v)]:
+            shared[w] += 1
+    disconnected = tuple(sorted(v for v, bs in in_bags.items() if shared[v] != len(bs) - 1))
+    uncovered = []
+    for u, v in g.edges:
+        u, v = int(u), int(v)
+        bu = in_bags.get(u)
+        if bu is None or v not in in_bags:
+            uncovered.append((u, v))
+            continue
+        if not any(v in sets[i] for i in bu):
+            uncovered.append((u, v))
+    width = max((len(s) for s in sets), default=0) - 1
+    uncovered = tuple(sorted(uncovered))
+    ok = not (missing or uncovered or disconnected)
+    return DecompositionReport(ok, width, missing, uncovered, disconnected)
+
+
+def _validate_ref(g: graphs.Graph, d: Decomposition) -> DecompositionReport:
+    _check_shape(d)
+    if d.flat.size and d.flat.max() >= g.num_vertices:
+        raise StructuralError("bag vertex id out of range for the host graph")
+    if d.is_path:
+        return _validate_path(g, d)
+    return _validate_tree(g, d)
+
+
+# ----------------------------------------------------------------------
+# the validator against the reference
+# ----------------------------------------------------------------------
+
+
+@st.composite
+def decomposition_cases(draw):
+    """A small host graph and a path or tree decomposition over its vertices.
+
+    Bags may repeat entries, be empty or be absent altogether; traces may
+    be missing or broken. A tree is a random recursive tree under a random
+    relabelling of the bags, its edges listed in random order and
+    orientation, so bag 0 is not always a leaf or the hub.
+    """
+    n = draw(st.integers(1, 8))
+    pairs = [(u, w) for u in range(n) for w in range(u + 1, n)]
+    g = graphs.Graph(n, draw(st.lists(st.sampled_from(pairs), max_size=12)) if pairs else [])
+    bags = draw(st.lists(st.lists(st.integers(0, n - 1), max_size=5), max_size=8))
+    nb = len(bags)
+    if nb == 0 or draw(st.booleans()):
+        return g, Decomposition.from_bags(bags)
+    label = draw(st.permutations(range(nb)))
+    edges = []
+    for i in range(1, nb):
+        a, b = label[i], label[draw(st.integers(0, i - 1))]
+        edges.append((a, b) if draw(st.booleans()) else (b, a))
+    return g, Decomposition.from_bags(bags, tree_edges=draw(st.permutations(edges)))
+
+
+def _as_tree(d: Decomposition, flip: bool) -> Decomposition:
+    edges = d.shape_edges()
+    return Decomposition(d.flat, d.offsets, edges[::-1, ::-1] if flip else edges)
+
+
+_C4 = graphs.Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+_P92 = graphs.gen_petersen(9, 2)
+_BK52 = graphs.gen_bipartite_kneser(5, 2)
+_STAR = decomp.independent_set_td(_BK52, [v for v in range(_BK52.num_vertices) if len(_BK52.labels[v]) == 2])
+
+
+@settings(max_examples=500, deadline=None)
+@given(decomposition_cases())
+@example((_C4, Decomposition.from_bags([])))  # zero bags
+@example((graphs.Graph(0, []), Decomposition.from_bags([[], []], tree_edges=[(1, 0)])))  # no vertices
+@example((_C4, Decomposition.from_bags([[], [0, 0, 1], [], [1, 2, 2]], tree_edges=[(3, 1), (0, 1), (2, 0)])))
+@example((_C4, Decomposition.from_bags([[0, 1], [1], [1, 0, 2]])))  # 0 broken, 3 missing
+@example((_C4, Decomposition.from_bags([[0, 3], [1], [0, 2], [3, 2]], tree_edges=[(1, 0), (2, 0), (3, 0)])))
+@example((_P92, decomp.petersen_pd(9, 2, "verbatim")))
+@example((_P92, _as_tree(decomp.petersen_pd(9, 2, "verbatim"), True)))
+@example((_P92, _as_tree(decomp.petersen_pd(9, 2, "repaired"), False)))
+@example((_BK52, _STAR))
+@example((_BK52, Decomposition(_STAR.flat, _STAR.offsets, _STAR.tree_edges[::-1, ::-1])))
+def test_validator_matches_reference(case):
+    g, d = case
+    assert decomp.validate_decomposition(g, d) == _validate_ref(g, d)
+
+
+@pytest.mark.parametrize(
+    "bags, tree_edges",
+    [
+        ([[0], [1], [2]], [(0, 1), (0, 1)]),  # a repeated edge
+        ([[0], [1], [2]], [(0, 1), (1, 0)]),  # the same, reversed
+        ([[0], [1], [2], [3]], [(1, 2), (2, 3), (3, 1)]),  # a cycle away from bag 0
+        ([[0, 1], [1, 2], [2, 3]], [(0, 1)]),  # too few edges
+        ([[0], [1]], [(0, 2)]),  # an endpoint out of range
+        ([[0], [-1]], [(0, 1)]),  # a negative vertex id
+        ([[0], [-1]], None),
+        ([[0, 9]], None),  # a vertex id out of range for the host
+    ],
+)
+def test_shape_errors_match_reference(bags, tree_edges):
+    d = Decomposition.from_bags(bags, tree_edges=tree_edges)
+    with pytest.raises(StructuralError) as ref:
+        _validate_ref(_C4, d)
+    with pytest.raises(StructuralError) as new:
+        decomp.validate_decomposition(_C4, d)
+    assert type(new.value) is type(ref.value)
 
 
 def cycle(n):

@@ -1,8 +1,8 @@
 """The numpy kernels against plain-python reference loops, bit for bit.
 
-The reference loops visit subsets one at a time, in index order, and
-group bag entries vertex by vertex, so they share no enumeration,
-neighbour-union or sort-key code with the kernels they check.
+The reference loops visit subsets one at a time, in index order, so
+they share no enumeration or neighbour-union code with the kernels they
+check.
 """
 
 import itertools
@@ -115,33 +115,6 @@ def _bv_table_py(nbrs, n):
     return np.asarray(best, dtype=np.int64)
 
 
-def _bag_occurrence_py(flat, offsets, nverts):
-    lo = np.full(nverts, -1, dtype=np.int64)
-    hi = np.full(nverts, -1, dtype=np.int64)
-    count = np.zeros(nverts, dtype=np.int64)
-    dup = np.zeros(nverts, dtype=np.int64)
-    nbags = len(offsets) - 1
-    bag_ids = np.repeat(np.arange(nbags, dtype=np.int64), np.diff(offsets))
-    order = np.argsort(flat, kind="stable")
-    sv = flat[order]
-    sb = bag_ids[order]
-    start = 0
-    total = len(sv)
-    while start < total:
-        v = sv[start]
-        end = start
-        while end < total and sv[end] == v:
-            end += 1
-        bags_v = sb[start:end]
-        uniq = np.unique(bags_v)
-        lo[v] = uniq[0]
-        hi[v] = uniq[-1]
-        count[v] = len(uniq)
-        dup[v] = len(bags_v) - len(uniq)
-        start = end
-    return lo, hi, count, dup
-
-
 # ----------------------------------------------------------------------
 # subset DPs
 # ----------------------------------------------------------------------
@@ -202,35 +175,8 @@ def test_layer_blocks_cover_each_subset_once():
 
 
 # ----------------------------------------------------------------------
-# bag scan and certificate validators
+# certificate validators
 # ----------------------------------------------------------------------
-
-
-def _bags_case(nverts, bags):
-    offsets = np.zeros(len(bags) + 1, dtype=np.int64)
-    np.cumsum([len(b) for b in bags], out=offsets[1:])
-    flat = np.array([v for b in bags for v in b], dtype=np.int64)
-    return flat, offsets, nverts
-
-
-bag_lists = st.integers(1, 30).flatmap(
-    lambda nv: st.tuples(st.just(nv), st.lists(st.lists(st.integers(0, nv - 1), max_size=8), max_size=12))
-)
-_PD = decomp.petersen_pd(40, 3, "repaired")
-
-
-@settings(max_examples=200, deadline=None)
-@given(bag_lists)
-@example((5, [[1, 1, 3], [], [3], [4, 1, 4]]))  # repeats in a bag, an empty bag, vertices in no bag
-@example((1, []))
-@example((80, [list(b) for b in _PD.bags()]))
-def test_bag_occurrence_matches(case):
-    flat, offsets, nverts = _bags_case(*case)
-    fast = _kernels.bag_occurrence(flat, offsets, nverts)
-    slow = _bag_occurrence_py(flat, offsets, nverts)
-    for a, b in zip(fast, slow):
-        assert a.dtype == b.dtype
-        assert np.array_equal(a, b)
 
 
 def test_decomposition_validator_matches():
