@@ -17,6 +17,7 @@ sliding window k steps earlier, restoring coverage at the same width
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,12 +49,15 @@ class Decomposition:
     def __init__(self, flat: np.ndarray, offsets: np.ndarray, tree_edges=None):
         self.flat = np.ascontiguousarray(flat, dtype=np.int64)
         self.offsets = np.ascontiguousarray(offsets, dtype=np.int64)
-        if self.offsets.ndim != 1 or self.offsets[0] != 0 or self.offsets[-1] != len(self.flat):
+        if self.offsets.ndim != 1 or not len(self.offsets) or self.offsets[0] != 0 or self.offsets[-1] != len(self.flat):
             raise StructuralError("offsets must start at 0 and end at len(flat)")
         if np.any(np.diff(self.offsets) < 0):
             raise StructuralError("offsets must be nondecreasing")
         if tree_edges is not None:
-            tree_edges = np.asarray(tree_edges, dtype=np.int64).reshape(-1, 2)
+            tree_edges = np.asarray(tree_edges, dtype=np.int64)
+            if tree_edges.size % 2:
+                raise StructuralError("tree edges must be pairs of bag indices")
+            tree_edges = tree_edges.reshape(-1, 2)
         self.tree_edges = tree_edges
 
     @classmethod
@@ -61,7 +65,7 @@ class Decomposition:
         bags = [list(b) for b in bags]
         offsets = np.zeros(len(bags) + 1, dtype=np.int64)
         np.cumsum([len(b) for b in bags], out=offsets[1:])
-        flat = np.fromiter((v for b in bags for v in b), dtype=np.int64, count=int(offsets[-1]))
+        flat = np.fromiter(itertools.chain.from_iterable(bags), dtype=np.int64, count=int(offsets[-1]))
         return cls(flat, offsets, tree_edges)
 
     @property
@@ -504,35 +508,50 @@ def bk_prime(n: int, k: int, cert: ChordalCertificate) -> Graph:
 
 def write_td(d: Decomposition, num_vertices: int, path) -> None:
     """Write the PACE .td form (1-based bag ids and vertex ids)."""
-    sizes = np.diff(d.offsets)
-    maxbag = int(sizes.max()) if d.num_bags else 0
+    nb = d.num_bags
+    offsets = d.offsets.tolist()
+    ids, where = np.unique(d.flat, return_inverse=True)  # each distinct id is formatted once
+    names = np.array([str(v + 1) for v in ids.tolist()], dtype=object)[where].tolist()
+    lines = [f"s td {nb} {d.width + 1} {num_vertices}\n"]
+    lines += [
+        f"b {i} {' '.join(names[a:b])}\n" if a < b else f"b {i}\n"
+        for i, a, b in zip(range(1, nb + 1), offsets, offsets[1:])
+    ]
+    lines += [f"{u + 1} {v + 1}\n" for u, v in d.shape_edges().tolist()]
     with open(path, "w") as fh:
-        fh.write(f"s td {d.num_bags} {maxbag} {num_vertices}\n")
-        for i in range(d.num_bags):
-            row = " ".join(str(int(v) + 1) for v in d.bag(i))
-            fh.write(f"b {i + 1} {row}\n" if row else f"b {i + 1}\n")
-        for u, v in d.shape_edges():
-            fh.write(f"{int(u) + 1} {int(v) + 1}\n")
+        fh.writelines(lines)
+
+
+class _VertexIds(dict):
+    """Token -> ``int(token) - 1``; each distinct token is converted once."""
+
+    def __missing__(self, token):
+        self[token] = v = int(token) - 1
+        return v
 
 
 def read_td(path):
     """Parse a PACE .td file; returns (Decomposition, declared_num_vertices).
 
-    Negative header counts, a bag larger than the declared max bag
-    size and an edge line naming a bag outside 1..nbags raise
-    :class:`ParseError` with the offending line number. Edges that do
+    Lines are checked in file order and the first fault found is the
+    one raised, as :class:`ParseError` with its line number: a second
+    or malformed solution line, content before it, a malformed or
+    repeated bag line, a bag vertex outside 1..n, a bag larger than the
+    declared max bag size, a malformed edge line or one naming a bag
+    outside 1..nbags, and negative header counts. Bag ids that are not
+    exactly 1..nbags are reported after the last line. Edges that do
     not form a tree over the bags raise :class:`StructuralError` when
     the decomposition is validated.
     """
     header = None
-    bags = {}
-    edges = []
+    bags = {}  # bag id -> 0-based vertex ids
+    ends = []  # 0-based bag-tree edge ends
+    ids = _VertexIds()
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("c"):
+            parts = raw.split()  # split() and strip() agree on whitespace: parts[0] starts the stripped line
+            if not parts or parts[0][0] == "c":
                 continue
-            parts = line.split()
             if parts[0] == "s":
                 if header is not None:
                     raise ParseError("duplicate solution line", lineno)
@@ -544,21 +563,22 @@ def read_td(path):
                     raise ParseError("non-integer counts in solution line", lineno)
                 if min(header) < 0:
                     raise ParseError("negative counts in solution line", lineno)
+                nbags, maxbag, nverts = header
                 continue
             if header is None:
                 raise ParseError("content before the solution line", lineno)
             if parts[0] == "b":
                 try:
                     bag_id = int(parts[1])
-                    content = [int(x) - 1 for x in parts[2:]]
+                    content = list(map(ids.__getitem__, parts[2:]))
                 except (IndexError, ValueError):
                     raise ParseError("malformed bag line", lineno)
                 if bag_id in bags:
                     raise ParseError(f"duplicate bag id {bag_id}", lineno)
-                if any(v < 0 or v >= header[2] for v in content):
+                if content and (min(content) < 0 or max(content) >= nverts):
                     raise ParseError("bag vertex out of declared range", lineno)
-                if len(content) > header[1]:
-                    raise ParseError(f"bag of {len(content)} vertices exceeds the declared max {header[1]}", lineno)
+                if len(content) > maxbag:
+                    raise ParseError(f"bag of {len(content)} vertices exceeds the declared max {maxbag}", lineno)
                 bags[bag_id] = content
                 continue
             if len(parts) != 2:
@@ -567,14 +587,12 @@ def read_td(path):
                 a, b = int(parts[0]), int(parts[1])
             except ValueError:
                 raise ParseError("non-integer bag id in edge line", lineno)
-            if not (1 <= a <= header[0] and 1 <= b <= header[0]):
-                raise ParseError(f"edge line names a bag outside 1..{header[0]}", lineno)
-            edges.append((a - 1, b - 1))
+            if not (1 <= a <= nbags and 1 <= b <= nbags):
+                raise ParseError(f"edge line names a bag outside 1..{nbags}", lineno)
+            ends += (a - 1, b - 1)
     if header is None:
         raise ParseError("missing solution line", 1)
-    nbags = header[0]
-    if sorted(bags) != list(range(1, nbags + 1)):
+    # the length test first, so a wrong nbags never builds a list of nbags ids
+    if len(bags) != nbags or sorted(bags) != list(range(1, nbags + 1)):
         raise ParseError(f"expected bag ids 1..{nbags}", 1)
-    ordered = [bags[i] for i in range(1, nbags + 1)]
-    d = Decomposition.from_bags(ordered, tree_edges=np.asarray(edges, dtype=np.int64).reshape(-1, 2))
-    return d, header[2]
+    return Decomposition.from_bags([bags[i] for i in range(1, nbags + 1)], tree_edges=ends), nverts

@@ -315,11 +315,9 @@ def labeled_equal(a: Graph, b: Graph) -> bool:
 
 def dump_graph(g: Graph, stream) -> None:
     """Write the PACE .gr form to an open stream (see :func:`write_graph`)."""
-    for v in range(g.n):
-        stream.write(f"c label {v + 1} {g.labels[v]!r}\n")
+    stream.writelines([f"c label {v} {label!r}\n" for v, label in enumerate(g.labels, 1)])
     stream.write(f"p tw {g.n} {g.num_edges}\n")
-    for u, v in g.edges:
-        stream.write(f"{int(u) + 1} {int(v) + 1}\n")
+    stream.writelines([f"{u} {v}\n" for u, v in (g.edges + 1).tolist()])
 
 
 def write_graph(g: Graph, path) -> None:
@@ -332,6 +330,33 @@ def write_graph(g: Graph, path) -> None:
         dump_graph(g, fh)
 
 
+def _atom(text: str):
+    """A tuple item of a label text: a single-quoted str or an int (:func:`_label` checks it)."""
+    return text[1:-1] if text.startswith("'") else int(text)
+
+
+def _label(text: str):
+    """The Python literal ``text``, as :func:`ast.literal_eval` reads it.
+
+    Every generated family labels its vertices with ints, strs or flat
+    tuples of them, written as their ``repr``. Such a text is split
+    directly, and the value is kept only when its ``repr`` is ``text``
+    again: ``literal_eval(repr(x)) == x`` for these values, so the value
+    is the one ``literal_eval`` would return. Any other text goes to
+    ``literal_eval``, about ten times slower.
+    """
+    try:
+        if text.startswith("(") and text.endswith(")"):
+            value = tuple(map(_atom, text[1:-1].rstrip(",").split(", ")))
+        else:
+            value = _atom(text)
+        if repr(value) == text:
+            return value
+    except ValueError:
+        pass
+    return ast.literal_eval(text)
+
+
 def read_graph(path) -> Graph:
     """Parse a PACE .gr file written by :func:`write_graph` (or plain ones).
 
@@ -339,13 +364,20 @@ def read_graph(path) -> Graph:
     either orientation), a self-loop, a negative count, an edge count
     that differs from the header, and a label that is given twice for
     one vertex, names no vertex or collides with another vertex's label
-    each raise :class:`ParseError` with the offending line number.
+    each raise :class:`ParseError` with the offending line number. Lines
+    are checked in file order and the first fault found is the one
+    raised; the whole-file checks (edge count, label range and
+    collisions) come after the last line.
+
+    Labels in ``c label <v> <literal>`` comments are Python literals
+    (ints, strs and tuples of them), read as :func:`ast.literal_eval`
+    reads them.
     """
     nverts = None
     medges = None
     header_line = None
     edges = []
-    seen = set()
+    seen = set()  # edge keys lo * (nverts + 1) + hi
     labels = {}  # vertex -> (label, line)
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -356,7 +388,8 @@ def read_graph(path) -> Graph:
                 parts = line.split(maxsplit=3)
                 if len(parts) == 4 and parts[1] == "label":
                     try:
-                        vertex, label = int(parts[2]) - 1, ast.literal_eval(parts[3])
+                        vertex = int(parts[2]) - 1
+                        label = _label(parts[3])
                         hash(label)
                     except (ValueError, SyntaxError, TypeError) as exc:
                         raise ParseError(f"bad label comment: {exc}", lineno)
@@ -377,6 +410,7 @@ def read_graph(path) -> Graph:
                 if nverts < 0 or medges < 0:
                     raise ParseError("negative counts in problem line", lineno)
                 header_line = lineno
+                stride = nverts + 1
                 continue
             if nverts is None:
                 raise ParseError("edge line before problem line", lineno)
@@ -391,9 +425,9 @@ def read_graph(path) -> Graph:
                 raise ParseError("endpoint out of range", lineno)
             if u == v:
                 raise ParseError(f"self-loop at vertex {u}", lineno)
-            key = (u, v) if u < v else (v, u)
+            key = u * stride + v if u < v else v * stride + u
             if key in seen:
-                raise ParseError(f"repeated edge {key[0]} {key[1]}", lineno)
+                raise ParseError(f"repeated edge {min(u, v)} {max(u, v)}", lineno)
             seen.add(key)
             edges.append((u - 1, v - 1))
     if nverts is None:

@@ -27,6 +27,18 @@ def test_gen_to_stdout(capsys):
     assert sum(1 for l in lines if l.startswith("c label")) == 4
 
 
+@pytest.mark.parametrize(
+    "family",
+    [["hamming", "--t", "1", "--q", "3", "--n", "2"], ["bipartite_kneser", "--n", "5", "--k", "1"], ["petersen", "--n", "7", "--k", "2"]],
+)
+def test_gen_stdout_matches_file(tmp_path, capsys, family):
+    out = tmp_path / "g.gr"
+    assert run(["gen", "--family", *family]) == 0
+    printed = capsys.readouterr().out
+    assert run(["gen", "--family", *family, "--out", str(out)]) == 0
+    assert out.read_text() == printed
+
+
 def test_gen_bad_parameters(capsys):
     assert run(["gen", "--family", "petersen", "--n", "6", "--k", "3"]) == 2
 

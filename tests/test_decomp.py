@@ -271,6 +271,10 @@ def test_malformed_shapes_raise():
         )
     with pytest.raises(StructuralError):
         decomp.validate_decomposition(g, Decomposition.from_bags([[0, 9]]))
+    with pytest.raises(StructuralError):
+        Decomposition(np.array([]), np.array([]))  # no offsets at all
+    with pytest.raises(StructuralError):
+        Decomposition(np.array([0, 1]), np.array([0, 1, 2]), tree_edges=[0, 1, 1])  # an odd number of edge ends
 
 
 @pytest.mark.parametrize("n", [5, 7, 12, 40])

@@ -1,0 +1,412 @@
+"""The PACE .gr/.td readers and writers against the implementations they replaced.
+
+The reference functions below are the earlier ``graphs.dump_graph``,
+``graphs.read_graph``, ``decomp.write_td`` and ``decomp.read_td``,
+copied unchanged apart from their names. The writers must produce the
+same bytes. The readers are fuzzed over mutated files and must return
+the same value or raise the same exception class with the same line
+and message.
+"""
+
+import ast
+import io
+import re
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from widthlab import decomp, graphs
+from widthlab.decomp import Decomposition
+from widthlab.errors import ParseError
+from widthlab.graphs import Graph
+
+# ----------------------------------------------------------------------
+# reference implementations
+# ----------------------------------------------------------------------
+
+
+def _dump_graph_ref(g: Graph, stream) -> None:
+    """Write the PACE .gr form to an open stream (see :func:`write_graph`)."""
+    for v in range(g.n):
+        stream.write(f"c label {v + 1} {g.labels[v]!r}\n")
+    stream.write(f"p tw {g.n} {g.num_edges}\n")
+    for u, v in g.edges:
+        stream.write(f"{int(u) + 1} {int(v) + 1}\n")
+
+
+def _read_graph_ref(path) -> Graph:
+    """Parse a PACE .gr file written by :func:`write_graph` (or plain ones).
+
+    The file must state a simple graph exactly: a repeated edge (in
+    either orientation), a self-loop, a negative count, an edge count
+    that differs from the header, and a label that is given twice for
+    one vertex, names no vertex or collides with another vertex's label
+    each raise :class:`ParseError` with the offending line number.
+    """
+    nverts = None
+    medges = None
+    header_line = None
+    edges = []
+    seen = set()
+    labels = {}  # vertex -> (label, line)
+    with open(path) as fh:
+        for lineno, raw in enumerate(fh, 1):
+            line = raw.strip()
+            if not line:
+                continue
+            if line.startswith("c"):
+                parts = line.split(maxsplit=3)
+                if len(parts) == 4 and parts[1] == "label":
+                    try:
+                        vertex, label = int(parts[2]) - 1, ast.literal_eval(parts[3])
+                        hash(label)
+                    except (ValueError, SyntaxError, TypeError) as exc:
+                        raise ParseError(f"bad label comment: {exc}", lineno)
+                    if vertex in labels:
+                        raise ParseError(f"second label for vertex {vertex + 1}", lineno)
+                    labels[vertex] = (label, lineno)
+                continue
+            if line.startswith("p"):
+                parts = line.split()
+                if len(parts) != 4 or parts[1] != "tw":
+                    raise ParseError("malformed problem line, expected 'p tw <n> <m>'", lineno)
+                if nverts is not None:
+                    raise ParseError("duplicate problem line", lineno)
+                try:
+                    nverts, medges = int(parts[2]), int(parts[3])
+                except ValueError:
+                    raise ParseError("non-integer counts in problem line", lineno)
+                if nverts < 0 or medges < 0:
+                    raise ParseError("negative counts in problem line", lineno)
+                header_line = lineno
+                continue
+            if nverts is None:
+                raise ParseError("edge line before problem line", lineno)
+            parts = line.split()
+            if len(parts) != 2:
+                raise ParseError("edge line must hold exactly two endpoints", lineno)
+            try:
+                u, v = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise ParseError("non-integer endpoint", lineno)
+            if not (1 <= u <= nverts and 1 <= v <= nverts):
+                raise ParseError("endpoint out of range", lineno)
+            if u == v:
+                raise ParseError(f"self-loop at vertex {u}", lineno)
+            key = (u, v) if u < v else (v, u)
+            if key in seen:
+                raise ParseError(f"repeated edge {key[0]} {key[1]}", lineno)
+            seen.add(key)
+            edges.append((u - 1, v - 1))
+    if nverts is None:
+        raise ParseError("missing problem line", 1)
+    if medges != len(edges):
+        raise ParseError(f"header declares {medges} edges, found {len(edges)}", header_line)
+    if not labels:
+        return Graph(nverts, edges)
+    lab = list(range(nverts))
+    used = {v for v in range(nverts) if v not in labels}  # default labels stay in use
+    for vertex, (label, lineno) in labels.items():  # in file order
+        if not 0 <= vertex < nverts:
+            raise ParseError(f"label for vertex {vertex + 1}, outside 1..{nverts}", lineno)
+        if label in used:
+            raise ParseError(f"label {label!r} is already used by another vertex", lineno)
+        used.add(label)
+        lab[vertex] = label
+    return Graph(nverts, edges, labels=lab)
+
+
+def _write_td_ref(d: Decomposition, num_vertices: int, path) -> None:
+    """Write the PACE .td form (1-based bag ids and vertex ids)."""
+    sizes = np.diff(d.offsets)
+    maxbag = int(sizes.max()) if d.num_bags else 0
+    with open(path, "w") as fh:
+        fh.write(f"s td {d.num_bags} {maxbag} {num_vertices}\n")
+        for i in range(d.num_bags):
+            row = " ".join(str(int(v) + 1) for v in d.bag(i))
+            fh.write(f"b {i + 1} {row}\n" if row else f"b {i + 1}\n")
+        for u, v in d.shape_edges():
+            fh.write(f"{int(u) + 1} {int(v) + 1}\n")
+
+
+def _read_td_ref(path):
+    """Parse a PACE .td file; returns (Decomposition, declared_num_vertices).
+
+    Negative header counts, a bag larger than the declared max bag
+    size and an edge line naming a bag outside 1..nbags raise
+    :class:`ParseError` with the offending line number. Edges that do
+    not form a tree over the bags raise :class:`StructuralError` when
+    the decomposition is validated.
+    """
+    header = None
+    bags = {}
+    edges = []
+    with open(path) as fh:
+        for lineno, raw in enumerate(fh, 1):
+            line = raw.strip()
+            if not line or line.startswith("c"):
+                continue
+            parts = line.split()
+            if parts[0] == "s":
+                if header is not None:
+                    raise ParseError("duplicate solution line", lineno)
+                if len(parts) != 5 or parts[1] != "td":
+                    raise ParseError("malformed solution line, expected 's td <bags> <maxbag> <n>'", lineno)
+                try:
+                    header = tuple(int(x) for x in parts[2:])
+                except ValueError:
+                    raise ParseError("non-integer counts in solution line", lineno)
+                if min(header) < 0:
+                    raise ParseError("negative counts in solution line", lineno)
+                continue
+            if header is None:
+                raise ParseError("content before the solution line", lineno)
+            if parts[0] == "b":
+                try:
+                    bag_id = int(parts[1])
+                    content = [int(x) - 1 for x in parts[2:]]
+                except (IndexError, ValueError):
+                    raise ParseError("malformed bag line", lineno)
+                if bag_id in bags:
+                    raise ParseError(f"duplicate bag id {bag_id}", lineno)
+                if any(v < 0 or v >= header[2] for v in content):
+                    raise ParseError("bag vertex out of declared range", lineno)
+                if len(content) > header[1]:
+                    raise ParseError(f"bag of {len(content)} vertices exceeds the declared max {header[1]}", lineno)
+                bags[bag_id] = content
+                continue
+            if len(parts) != 2:
+                raise ParseError("malformed bag-tree edge line", lineno)
+            try:
+                a, b = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise ParseError("non-integer bag id in edge line", lineno)
+            if not (1 <= a <= header[0] and 1 <= b <= header[0]):
+                raise ParseError(f"edge line names a bag outside 1..{header[0]}", lineno)
+            edges.append((a - 1, b - 1))
+    if header is None:
+        raise ParseError("missing solution line", 1)
+    nbags = header[0]
+    if sorted(bags) != list(range(1, nbags + 1)):
+        raise ParseError(f"expected bag ids 1..{nbags}", 1)
+    ordered = [bags[i] for i in range(1, nbags + 1)]
+    d = Decomposition.from_bags(ordered, tree_edges=np.asarray(edges, dtype=np.int64).reshape(-1, 2))
+    return d, header[2]
+
+
+# ----------------------------------------------------------------------
+# writers: byte-identical output
+# ----------------------------------------------------------------------
+
+_BK52 = graphs.gen_bipartite_kneser(5, 2)
+_STAR = decomp.independent_set_td(_BK52, [v for v in range(_BK52.num_vertices) if len(_BK52.labels[v]) == 2])
+
+GRAPHS = {
+    "hamming-q2": graphs.gen_hamming(2, 2, 4),
+    "hamming-q3": graphs.gen_hamming(1, 3, 3),
+    "johnson": graphs.gen_johnson(6, 3),
+    "bk-k1": graphs.gen_bipartite_kneser(5, 1),
+    "bk-k2": _BK52,
+    "petersen": graphs.gen_petersen(7, 2),
+    "unlabelled": Graph(5, [(0, 1), (3, 1), (2, 4)]),
+    "no-edges": Graph(3, []),
+    "empty": Graph(0, []),
+}
+
+DECOMPOSITIONS = {
+    "path-repaired": decomp.petersen_pd(9, 2, "repaired"),
+    "path-verbatim": decomp.petersen_pd(9, 2, "verbatim"),
+    "tree-star": _STAR,
+    "path-no-bags": Decomposition.from_bags([]),
+    "tree-no-bags": Decomposition.from_bags([], tree_edges=[]),
+    "path-empty-bags": Decomposition.from_bags([[], [0, 1], []]),
+    "tree-empty-bags": Decomposition.from_bags([[], [2], [], [0, 1]], tree_edges=[(2, 0), (0, 1), (3, 1)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRAPHS))
+def test_write_graph_bytes_match_reference(tmp_path, name):
+    g = GRAPHS[name]
+    with open(tmp_path / "ref.gr", "w") as fh:
+        _dump_graph_ref(g, fh)
+    graphs.write_graph(g, tmp_path / "new.gr")
+    assert (tmp_path / "new.gr").read_bytes() == (tmp_path / "ref.gr").read_bytes()
+    ref, new = io.StringIO(), io.StringIO()
+    _dump_graph_ref(g, ref)
+    graphs.dump_graph(g, new)
+    assert new.getvalue() == ref.getvalue()
+
+
+def _assert_td_bytes_match(tmp_path, d, num_vertices):
+    _write_td_ref(d, num_vertices, tmp_path / "ref.td")
+    decomp.write_td(d, num_vertices, tmp_path / "new.td")
+    assert (tmp_path / "new.td").read_bytes() == (tmp_path / "ref.td").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(DECOMPOSITIONS))
+def test_write_td_bytes_match_reference(tmp_path, name):
+    _assert_td_bytes_match(tmp_path, DECOMPOSITIONS[name], 20)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.lists(st.integers(-(2**63), 2**63 - 1), max_size=4), max_size=5),
+    st.booleans(),
+    st.one_of(st.integers(-5, 10**20), st.integers(0, 9).map(np.int64)),
+)
+def test_write_td_bytes_match_reference_on_any_ids(tmp_path_factory, bags, tree, num_vertices):
+    """Any int64 ids, the extremes included, format as the reference does."""
+    edges = [(0, i) for i in range(1, len(bags))] if tree else None
+    _assert_td_bytes_match(tmp_path_factory.getbasetemp(), Decomposition.from_bags(bags, tree_edges=edges), num_vertices)
+
+
+# ----------------------------------------------------------------------
+# readers: fuzzed against the reference
+# ----------------------------------------------------------------------
+
+TOKENS = ["x", "0", "1", "2", "-1", "+3", "1_0", "9" * 5000, "99", "\u0663"]
+LABELS = [
+    "True", "-0", "(1,)", "('a, b', 1)", "'a\\'b'", "[1]", "1;2", "(1, 2", "('v', 1)", "('v', 2)", "(1, 1)",
+    "1", "'a'", '"a"', "()", "(1,,)", "(1, 2,)", "( 1, 2)", "((1, 2), 3)", "1.5", "(1, 'x')", "'", "9" * 5000,
+]
+EXTRA_LINES = ["", "   ", "\t", "c a comment", "c", "c label", "p", "s", "b", "p tw 3 1", "s td 1 1 3", "b 1 1", "1 2", "1\r2 3"]
+
+
+def _text(g: Graph) -> str:
+    out = io.StringIO()
+    _dump_graph_ref(g, out)
+    return out.getvalue()
+
+
+def _td_text(tmp_path_factory, d, num_vertices) -> str:
+    path = tmp_path_factory.getbasetemp() / "base.td"
+    _write_td_ref(d, num_vertices, path)
+    return path.read_text()
+
+
+GR_BASES = [
+    _text(graphs.gen_petersen(5, 2)),
+    _text(graphs.gen_bipartite_kneser(5, 1)),
+    _text(graphs.gen_hamming(1, 3, 2)),
+    _text(Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)], labels=["a", "b", ("a", 1), 7])),
+    "p tw 4 3\n1 2\n2 3\n4 3\n",
+]
+
+
+@st.composite
+def mutated(draw, bases, labels):
+    """A base text after a few line edits, token replacements and label rewrites."""
+    lines = draw(st.sampled_from(bases)).split("\n")
+    index = st.integers(0, 10**6)
+    ops = ["delete", "duplicate", "swap", "insert", "token", "crlf", "tabs", "header"] + (["label"] if labels else [])
+    for _ in range(draw(st.integers(0, 4))):
+        op = draw(st.sampled_from(ops))
+        i = draw(index) % max(len(lines), 1)
+        if op == "insert" or not lines:
+            lines.insert(i, draw(st.sampled_from(EXTRA_LINES)))
+        elif op == "delete":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(draw(index) % len(lines), lines[i])
+        elif op == "swap":
+            j = draw(index) % len(lines)
+            lines[i], lines[j] = lines[j], lines[i]
+        elif op == "token":
+            parts = lines[i].split(" ")
+            parts[draw(index) % len(parts)] = draw(st.sampled_from(TOKENS))
+            lines[i] = " ".join(parts)
+        elif op == "crlf":
+            lines[i] += "\r"
+        elif op == "tabs":
+            lines[i] = lines[i].replace(" ", "\t")
+        elif op == "label":  # a new text for a label line keeps its vertex
+            parts = lines[i].split(" ", 3)
+            vertex = parts[2] if parts[:2] == ["c", "label"] and len(parts) == 4 else draw(st.integers(0, 12))
+            lines[i] = f"c label {vertex} {draw(st.sampled_from(LABELS))}"
+        else:  # drop the header, repeat it somewhere or replace one of its tokens
+            head = next((k for k, line in enumerate(lines) if line[:1] in ("p", "s")), None)
+            how = draw(st.sampled_from(["drop", "repeat", "count"]))
+            if head is None:
+                continue
+            if how == "drop":
+                del lines[head]
+            elif how == "repeat":
+                lines.insert(i, lines[head])
+            else:
+                parts = lines[head].split(" ")
+                parts[draw(index) % len(parts)] = draw(st.sampled_from(TOKENS))
+                lines[head] = " ".join(parts)
+    return "\n".join(lines)
+
+
+def _outcome(read, path):
+    try:
+        return ("returned", read(path))
+    except Exception as exc:  # the class, line and message are compared, whatever they are
+        # literal_eval names a rejected node by its address, which differs between two calls
+        message = re.sub(r" at 0x[0-9a-f]+", " at 0x...", str(exc))
+        return ("raised", type(exc), getattr(exc, "line", None), message)
+
+
+def _graph_value(g: Graph):
+    return g.n, g.edges.dtype, g.edges.tolist(), g.labels, [repr(x) for x in g.labels], [type(x) for x in g.labels]
+
+
+def _td_value(result):
+    d, declared = result
+    edges = None if d.tree_edges is None else (d.tree_edges.dtype, d.tree_edges.tolist())
+    return d.flat.dtype, d.flat.tolist(), d.offsets.dtype, d.offsets.tolist(), edges, declared, type(declared)
+
+
+def _assert_same(read_new, read_ref, value, path):
+    new, ref = _outcome(read_new, path), _outcome(read_ref, path)
+    if ref[0] == "returned" and new[0] == "returned":
+        assert value(new[1]) == value(ref[1])
+    else:
+        assert new == ref
+
+
+@settings(max_examples=600, deadline=None)
+@given(mutated(GR_BASES, labels=True))
+@example("c label 1 True\np tw 2 0\n")  # True == 1, the default label of vertex 2
+@example("c label 1 ('v', 1)\nc label 2 ('v', 1)\np tw 2 0\n")
+@example("c label 1 -0\nc label 2 (1,)\nc label 3 ('a, b', 1)\nc label 4 'a\\'b'\np tw 4 0\n")
+@example("c label 1 [1]\np tw 1 0\n")
+@example("c label 1 1;2\np tw 1 0\n")
+@example("p tw 1 0\nc label 1 (1, 2\n")
+@example("c label 1 " + "9" * 5000 + "\np tw 1 0\n")
+@example("p tw 3 2\n1 2\n\t2\t3\r\n")
+def test_read_graph_matches_reference(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "fuzz.gr"
+    path.write_bytes(text.encode())
+    _assert_same(graphs.read_graph, _read_graph_ref, _graph_value, path)
+
+
+@pytest.fixture(scope="module")
+def td_bases(tmp_path_factory):
+    return [
+        _td_text(tmp_path_factory, decomp.petersen_pd(7, 2, "repaired"), 14),
+        _td_text(tmp_path_factory, _STAR, _BK52.num_vertices),
+        _td_text(tmp_path_factory, DECOMPOSITIONS["tree-empty-bags"], 3),
+        _td_text(tmp_path_factory, DECOMPOSITIONS["path-no-bags"], 2),
+        "s td 3 2 4\nb 3 4 1\nb 1 1 2\nb 2 2 3\n1 2\n3 2\n",
+    ]
+
+
+def test_read_td_matches_reference(tmp_path_factory, td_bases):
+    path = tmp_path_factory.getbasetemp() / "fuzz.td"
+
+    @settings(max_examples=600, deadline=None)
+    @given(mutated(td_bases, labels=False))
+    @example("s td 2 2 3\nb 2 1 2\nb 1 3\n1 2\n")  # bags out of order
+    @example("s td 1 2 3\nb 1 1 " + "9" * 5000 + "\n")
+    @example("s td 1 2 3\nb 1 \u0663 +3\n")
+    @example("s td 1 2 3\nb 1 0 x\n")  # malformed beats out of range
+    @example("s td 2 1 3\nb 1 1\nb 1 4\n")  # a repeated bag id beats out of range
+    def check(text):
+        path.write_bytes(text.encode())
+        _assert_same(decomp.read_td, _read_td_ref, _td_value, path)
+
+    check()
