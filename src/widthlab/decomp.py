@@ -507,7 +507,7 @@ def bk_prime(n: int, k: int, cert: ChordalCertificate) -> Graph:
 
 
 def write_td(d: Decomposition, num_vertices: int, path) -> None:
-    """Write the PACE .td form (1-based bag ids and vertex ids)."""
+    """Write the PACE .td form (1-based bag ids and vertex ids) as UTF-8."""
     nb = d.num_bags
     offsets = d.offsets.tolist()
     ids, where = np.unique(d.flat, return_inverse=True)  # each distinct id is formatted once
@@ -518,7 +518,7 @@ def write_td(d: Decomposition, num_vertices: int, path) -> None:
         for i, a, b in zip(range(1, nb + 1), offsets, offsets[1:])
     ]
     lines += [f"{u + 1} {v + 1}\n" for u, v in d.shape_edges().tolist()]
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(lines)
 
 
@@ -541,13 +541,14 @@ def read_td(path):
     outside 1..nbags, and negative header counts. Bag ids that are not
     exactly 1..nbags are reported after the last line. Edges that do
     not form a tree over the bags raise :class:`StructuralError` when
-    the decomposition is validated.
+    the decomposition is validated. The file is read as UTF-8, and a
+    byte that is not UTF-8 makes its token malformed on its line.
     """
     header = None
     bags = {}  # bag id -> 0-based vertex ids
     ends = []  # 0-based bag-tree edge ends
     ids = _VertexIds()
-    with open(path) as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, 1):
             parts = raw.split()  # split() and strip() agree on whitespace: parts[0] starts the stripped line
             if not parts or parts[0][0] == "c":

@@ -8,7 +8,10 @@ part of the contract: binary distance graphs are emitted in the
 boundary-greedy order of :func:`widthlab.hales.hales_order`, subset
 graphs in slice order, so the graph's adjacency matrix under the
 identity ordering is directly the structured matrix studied elsewhere
-in the package.
+in the package. The Hamming (every q) and Johnson edges come from one
+builder that changes up to t digits of every word and looks the
+results up among the vertex words (:func:`_edges_by_digit_changes`).
+Generated and read graphs have at most :data:`MAX_VERTICES` vertices.
 
 Graphs are immutable after construction and safe to share across
 workers.
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 import ast
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +45,11 @@ __all__ = [
 
 # dense per-vertex bitmasks are kept only up to this many vertices
 BITSET_MAX_VERTICES = 4096
+
+# Hard cap on the vertices of a generated or read graph. Memory also
+# grows with the edges, which are not capped: H(1,2,20), at the cap with
+# 10.5M edges, peaked at 1.0 GB RSS (numpy 2.4, Python 3.11).
+MAX_VERTICES = 1 << 20
 
 
 class Graph:
@@ -148,9 +157,6 @@ class Graph:
 
     # -- labels ----------------------------------------------------------
 
-    def label_of(self, v: int):
-        return self.labels[v]
-
     def index_of_label(self, label) -> int:
         if self._label_index is None:
             self._label_index = {lab: i for i, lab in enumerate(self.labels)}
@@ -195,6 +201,24 @@ class FamilySpec:
                 raise ParameterError(f"invalid petersen parameters {self}")
         else:
             raise ParameterError(f"unknown family {f!r}")
+        if self._num_vertices() > MAX_VERTICES:
+            raise SizeCapError(f"{self} has more than {MAX_VERTICES} vertices")
+
+    def _num_vertices(self) -> int:
+        """q^n, C(n,k), 2·C(n,k) or 2n, exact up to :data:`MAX_VERTICES`.
+
+        q^n >= 2^n and C(n,j) >= 2^j for j <= n/2, so a count whose
+        exponent reaches ``MAX_VERTICES.bit_length()`` is over the cap
+        and is not computed.
+        """
+        over = MAX_VERTICES.bit_length()
+        if self.family == "petersen":
+            return 2 * self.n
+        if self.family == "hamming":
+            return self.q**self.n if self.n < over else MAX_VERTICES + 1
+        j = min(self.k, self.n - self.k)
+        count = math.comb(self.n, j) if j < over else MAX_VERTICES + 1
+        return count if self.family == "johnson" else 2 * count
 
 
 def generate(spec: FamilySpec) -> Graph:
@@ -214,18 +238,29 @@ def generate(spec: FamilySpec) -> Graph:
 # ----------------------------------------------------------------------
 
 
-def _edges_within_distance(codes: np.ndarray, t: int) -> np.ndarray:
-    """Edges {i<j} whose codeword XOR-popcount lies in [1, t]. codes: uint32."""
-    nverts = len(codes)
-    out = []
-    chunk = max(1, (1 << 22) // max(nverts, 1))
-    for start in range(0, nverts, chunk):
-        block = codes[start : start + chunk]
-        d = np.bitwise_count(block[:, None] ^ codes[None, :])
-        ii, jj = np.nonzero((d >= 1) & (d <= t))
-        keep = (ii + start) < jj
-        out.append(np.column_stack([ii[keep] + start, jj[keep]]))
-    return np.concatenate(out) if out else np.zeros((0, 2), np.int64)
+def _edges_by_digit_changes(codes: np.ndarray, q: int, n: int, t: int) -> np.ndarray:
+    """Edges {i < j} whose words ``codes[i]``, ``codes[j]`` (base q, n digits) differ in 1..t digits.
+
+    Changes up to t digits of every word, in increasing position, and looks
+    each result up among the sorted codes: V·Σ_{r≤t} C(n,r)(q−1)^r lookups
+    for V words, holding the edges and the words changed in < t digits.
+    """
+    codes = np.asarray(codes, dtype=np.int64)
+    order = np.argsort(codes)
+    src, cur, room = np.arange(len(codes)), codes, np.full(len(codes), t)  # words that may change another digit
+    edges = []
+    for p in range(n):
+        digit = cur // q**p % q
+        changed = [cur + ((digit + d) % q - digit) * q**p for d in range(1, q)]
+        for word in changed:
+            at = order[np.searchsorted(codes, word, sorter=order).clip(max=len(codes) - 1)]
+            keep = (codes[at] == word) & (src < at)
+            edges.append(np.column_stack([src[keep], at[keep]]))
+        more = room > 1  # changed words that may still change a digit after p
+        src = np.concatenate([src] + [src[more]] * (q - 1))
+        room = np.concatenate([room] + [room[more] - 1] * (q - 1))
+        cur = np.concatenate([cur] + [word[more] for word in changed])
+    return np.concatenate(edges)
 
 
 def gen_hamming(t: int, q: int, n: int) -> Graph:
@@ -233,26 +268,16 @@ def gen_hamming(t: int, q: int, n: int) -> Graph:
 
     For q = 2 the vertex order is the boundary-greedy binary order of
     :func:`widthlab.hales.hales_order`; for q > 2 it is lexicographic
-    over the alphabet {1..q}.
+    over the alphabet {1..q}, so a vertex's id is its word's base-q code.
+    The edges cost q^n·Σ_{r≤t} C(n,r)(q−1)^r lookups.
     """
     FamilySpec("hamming", t=t, q=q, n=n).validate()
     if q == 2:
         rows = hales.hales_order(n).rows
-        edges = _edges_within_distance(rows, t)
         labels = [hales.vector_of(int(r), n) for r in rows]
-        return Graph(1 << n, edges, labels=labels)
+        return Graph(1 << n, _edges_by_digit_changes(rows, 2, n, t), labels=labels)
     words = list(itertools.product(range(1, q + 1), repeat=n))
-    arr = np.asarray(words, dtype=np.int16)
-    nverts = len(words)
-    out = []
-    chunk = max(1, (1 << 22) // max(nverts * n, 1))
-    for start in range(0, nverts, chunk):
-        diff = (arr[start : start + chunk, None, :] != arr[None, :, :]).sum(axis=2)
-        ii, jj = np.nonzero((diff >= 1) & (diff <= t))
-        keep = (ii + start) < jj
-        out.append(np.column_stack([ii[keep] + start, jj[keep]]))
-    edges = np.concatenate(out) if out else np.zeros((0, 2), np.int64)
-    return Graph(nverts, edges, labels=words)
+    return Graph(len(words), _edges_by_digit_changes(np.arange(len(words)), q, n, t), labels=words)
 
 
 def _subset_label(mask: int) -> tuple:
@@ -260,14 +285,13 @@ def _subset_label(mask: int) -> tuple:
 
 
 def gen_johnson(n: int, k: int) -> Graph:
-    """k-subsets of [n], adjacent when the intersection has k-1 elements."""
+    """k-subsets of [n], adjacent when the intersection has k-1 elements:
+    the slice rows at bit distance 2 (rows of one weight are never at
+    distance 1), found by C(n,k)·(n + C(n,2)) lookups.
+    """
     FamilySpec("johnson", n=n, k=k).validate()
     rows = hales.slice_order(n, k).rows
-    edges_mask = np.bitwise_count(rows[:, None] ^ rows[None, :]) == 2
-    ii, jj = np.nonzero(edges_mask)
-    keep = ii < jj
-    edges = np.column_stack([ii[keep], jj[keep]])
-    return Graph(len(rows), edges, labels=[_subset_label(int(r)) for r in rows])
+    return Graph(len(rows), _edges_by_digit_changes(rows, 2, n, 2), labels=[_subset_label(int(r)) for r in rows])
 
 
 def gen_bipartite_kneser(n: int, k: int) -> Graph:
@@ -324,9 +348,9 @@ def write_graph(g: Graph, path) -> None:
     """Write the PACE .gr form: header ``p tw n m``, 1-based edge lines.
 
     The label map rides along in leading ``c label <v> <repr>`` comments
-    so a round trip restores the labeled graph.
+    so a round trip restores the labeled graph. The file is UTF-8.
     """
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         dump_graph(g, fh)
 
 
@@ -367,7 +391,12 @@ def read_graph(path) -> Graph:
     each raise :class:`ParseError` with the offending line number. Lines
     are checked in file order and the first fault found is the one
     raised; the whole-file checks (edge count, label range and
-    collisions) come after the last line.
+    collisions) come after the last line. A header above
+    :data:`MAX_VERTICES` vertices is refused on its line.
+
+    The file is read as UTF-8. A byte that is not UTF-8 is kept as a
+    lone surrogate, so the token holding it is refused like any other
+    malformed token, with its line number.
 
     Labels in ``c label <v> <literal>`` comments are Python literals
     (ints, strs and tuples of them), read as :func:`ast.literal_eval`
@@ -379,7 +408,7 @@ def read_graph(path) -> Graph:
     edges = []
     seen = set()  # edge keys lo * (nverts + 1) + hi
     labels = {}  # vertex -> (label, line)
-    with open(path) as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line:
@@ -409,6 +438,8 @@ def read_graph(path) -> Graph:
                     raise ParseError("non-integer counts in problem line", lineno)
                 if nverts < 0 or medges < 0:
                     raise ParseError("negative counts in problem line", lineno)
+                if nverts > MAX_VERTICES:
+                    raise ParseError(f"{nverts} vertices exceed the cap of {MAX_VERTICES}", lineno)
                 header_line = lineno
                 stride = nverts + 1
                 continue

@@ -125,9 +125,6 @@ class HalesOrder:
             raise ParameterError(f"word {mask:#x} is not a length-{self.n} mask")
         return int(idx[0]) + 1
 
-    def as_ordering(self) -> Ordering:
-        return Ordering(tuple(range(1 << self.n)))
-
 
 def hales_order(n: int) -> HalesOrder:
     """Stack slice_order(n, 0..n) into the global order on 2^n words."""

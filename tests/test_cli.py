@@ -115,6 +115,29 @@ def test_decomp_malformed_graph_is_usage_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "gr, td, line",
+    [
+        (b"p tw 2 1\n1 2\xff\n", b"s td 1 2 2\nb 1 1 2\n", 2),
+        (b"c made by \xfe\nc label 1 'a\xff'\np tw 2 1\n1 2\n", b"s td 1 2 2\nb 1 1 2\n", 2),
+        (b"p tw 2 1\n1 2\n", b"c made by \xfe\ns td 1 2 2\nb 1 1 2\xff\n", 3),
+    ],
+    ids=["edge-line", "label-comment", "td-bag-line"],
+)
+def test_decomp_non_utf8_byte_is_usage_error(tmp_path, capsys, gr, td, line):
+    (tmp_path / "g.gr").write_bytes(gr)
+    (tmp_path / "t.td").write_bytes(td)
+    assert run(["decomp", "--gr", str(tmp_path / "g.gr"), "--td", str(tmp_path / "t.td")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: line {line}: ")
+
+
+def test_decomp_non_utf8_byte_in_a_comment_is_ignored(tmp_path, capsys):
+    (tmp_path / "g.gr").write_bytes(b"c made by \xfe\xff\np tw 2 1\n1 2\n")
+    (tmp_path / "t.td").write_bytes(b"c \xff\ns td 1 2 2\nb 1 1 2\n")
+    assert run(["decomp", "--gr", str(tmp_path / "g.gr"), "--td", str(tmp_path / "t.td")]) == 0
+    assert "ok=True" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
     "edge_lines, message",
     [
         ("1 2\n1 2\n", "bag shape contains a cycle"),

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from widthlab import decomp, graphs, oracles
+from widthlab import decomp, graphs, oracles, widthcalc
 from widthlab.decomp import Decomposition, DecompositionReport
 from widthlab.errors import ParameterError, ParseError, PreconditionError, StructuralError
 
@@ -353,6 +353,18 @@ def test_lift_even_alphabet_width_exact():
     report = decomp.validate_decomposition(target, lifted)
     assert report.ok
     assert report.width == (2 + 1) * (4 // 2) ** 2 - 1 == 11
+
+
+@pytest.mark.parametrize("t, q, n", [(1, 4, 6), (2, 4, 6), (1, 6, 5)])
+def test_lift_width_exact_on_q_ary_hamming(t, q, n):
+    # windows of b + 1 consecutive ids of the binary host (its ids follow
+    # the Hales order) form a path decomposition of width b = bw_closed(t, n)
+    b = widthcalc.bw_closed(t, n)
+    windows = Decomposition.from_bags([range(i, i + b + 1) for i in range(2**n - b)])
+    lifted = decomp.lift_pd(windows, t, n, q)
+    report = decomp.validate_decomposition(graphs.gen_hamming(t, q, n), lifted)
+    assert report.ok
+    assert report.width == (b + 1) * (q // 2) ** n - 1
 
 
 def test_lift_odd_alphabet_width_bounded():

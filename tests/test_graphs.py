@@ -7,8 +7,100 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from widthlab import cli, graphs
-from widthlab.errors import ParameterError, ParseError
+from widthlab import cli, graphs, hales
+from widthlab.errors import ParameterError, ParseError, SizeCapError
+from widthlab.graphs import Graph
+
+# ----------------------------------------------------------------------
+# reference generators: the all-pairs edge scans that the digit-change
+# builder replaced, copied unchanged apart from their names and the
+# module prefixes
+# ----------------------------------------------------------------------
+
+
+def _edges_within_distance_ref(codes: np.ndarray, t: int) -> np.ndarray:
+    """Edges {i<j} whose codeword XOR-popcount lies in [1, t]. codes: uint32."""
+    nverts = len(codes)
+    out = []
+    chunk = max(1, (1 << 22) // max(nverts, 1))
+    for start in range(0, nverts, chunk):
+        block = codes[start : start + chunk]
+        d = np.bitwise_count(block[:, None] ^ codes[None, :])
+        ii, jj = np.nonzero((d >= 1) & (d <= t))
+        keep = (ii + start) < jj
+        out.append(np.column_stack([ii[keep] + start, jj[keep]]))
+    return np.concatenate(out) if out else np.zeros((0, 2), np.int64)
+
+
+def _gen_hamming_ref(t: int, q: int, n: int) -> Graph:
+    """Distance-at-most-t graph on q-ary length-n words.
+
+    For q = 2 the vertex order is the boundary-greedy binary order of
+    :func:`widthlab.hales.hales_order`; for q > 2 it is lexicographic
+    over the alphabet {1..q}.
+    """
+    graphs.FamilySpec("hamming", t=t, q=q, n=n).validate()
+    if q == 2:
+        rows = hales.hales_order(n).rows
+        edges = _edges_within_distance_ref(rows, t)
+        labels = [hales.vector_of(int(r), n) for r in rows]
+        return Graph(1 << n, edges, labels=labels)
+    words = list(itertools.product(range(1, q + 1), repeat=n))
+    arr = np.asarray(words, dtype=np.int16)
+    nverts = len(words)
+    out = []
+    chunk = max(1, (1 << 22) // max(nverts * n, 1))
+    for start in range(0, nverts, chunk):
+        diff = (arr[start : start + chunk, None, :] != arr[None, :, :]).sum(axis=2)
+        ii, jj = np.nonzero((diff >= 1) & (diff <= t))
+        keep = (ii + start) < jj
+        out.append(np.column_stack([ii[keep] + start, jj[keep]]))
+    edges = np.concatenate(out) if out else np.zeros((0, 2), np.int64)
+    return Graph(nverts, edges, labels=words)
+
+
+def _gen_johnson_ref(n: int, k: int) -> Graph:
+    """k-subsets of [n], adjacent when the intersection has k-1 elements."""
+    graphs.FamilySpec("johnson", n=n, k=k).validate()
+    rows = hales.slice_order(n, k).rows
+    edges_mask = np.bitwise_count(rows[:, None] ^ rows[None, :]) == 2
+    ii, jj = np.nonzero(edges_mask)
+    keep = ii < jj
+    edges = np.column_stack([ii[keep], jj[keep]])
+    return Graph(len(rows), edges, labels=[graphs._subset_label(int(r)) for r in rows])
+
+
+def _assert_same_graph(new: Graph, ref: Graph):
+    assert new.n == ref.n
+    assert new.edges.dtype == ref.edges.dtype
+    assert np.array_equal(new.edges, ref.edges)  # values and order
+    assert new.labels == ref.labels
+
+
+@pytest.mark.parametrize("q, n", [(2, n) for n in range(1, 9)] + [(3, n) for n in range(1, 6)] + [(4, n) for n in range(1, 5)])
+def test_hamming_matches_all_pairs_reference(q, n):
+    for t in range(1, n + 2):
+        _assert_same_graph(graphs.gen_hamming(t, q, n), _gen_hamming_ref(t, q, n))
+
+
+@pytest.mark.parametrize("n", range(2, 12))
+def test_johnson_matches_all_pairs_reference(n):
+    for k in range(1, n):
+        _assert_same_graph(graphs.gen_johnson(n, k), _gen_johnson_ref(n, k))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(2, 10), (3, 6), (5, 4), (6, 3), (7, 3), (11, 2)]).flatmap(
+    lambda qn: st.tuples(st.integers(1, qn[1] + 1), st.just(qn[0]), st.integers(1, qn[1]))
+))
+def test_hamming_matches_all_pairs_reference_sweep(args):
+    _assert_same_graph(graphs.gen_hamming(*args), _gen_hamming_ref(*args))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 13).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n - 1))))
+def test_johnson_matches_all_pairs_reference_sweep(args):
+    _assert_same_graph(graphs.gen_johnson(*args), _gen_johnson_ref(*args))
 
 
 def brute_edge_count(labels, pred):
@@ -52,8 +144,6 @@ def test_hamming_edges_monotone_in_t():
 
 
 def test_hamming_binary_vertex_order_is_global_binary_order():
-    from widthlab import hales
-
     g = graphs.gen_hamming(1, 2, 4)
     rows = hales.hales_order(4).rows
     assert g.labels == tuple(hales.vector_of(int(r), 4) for r in rows)
@@ -74,8 +164,6 @@ def test_johnson_singletons_complete():
 
 @pytest.mark.parametrize("n,k", [(4, 2), (5, 2), (6, 3)])
 def test_johnson_is_weight_slice_of_binary_distance_two(n, k):
-    from widthlab import hales
-
     j = graphs.gen_johnson(n, k)
     h = graphs.gen_hamming(2, 2, n)
     weight_k = [v for v in range(h.num_vertices) if sum(h.labels[v]) == k]
@@ -138,6 +226,49 @@ def test_parameter_errors():
         graphs.gen_bipartite_kneser(4, 2)
     with pytest.raises(ParameterError):
         graphs.gen_petersen(6, 3)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        graphs.FamilySpec("hamming", q=2, n=20),
+        graphs.FamilySpec("hamming", q=1024, n=2),
+        graphs.FamilySpec("johnson", n=graphs.MAX_VERTICES, k=1),
+        graphs.FamilySpec("johnson", n=graphs.MAX_VERTICES, k=graphs.MAX_VERTICES - 1),
+        graphs.FamilySpec("bipartite_kneser", n=graphs.MAX_VERTICES // 2, k=1),
+        graphs.FamilySpec("petersen", n=graphs.MAX_VERTICES // 2, k=1),
+    ],
+)
+def test_vertex_cap_admits_members_at_the_cap(spec):
+    spec.validate()  # validation only: nothing is built
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        graphs.FamilySpec("hamming", q=2, n=21),
+        graphs.FamilySpec("hamming", q=2, n=32),
+        graphs.FamilySpec("hamming", q=1025, n=2),
+        graphs.FamilySpec("hamming", q=3, n=10**9),
+        graphs.FamilySpec("johnson", n=graphs.MAX_VERTICES + 1, k=1),
+        graphs.FamilySpec("johnson", n=24, k=12),
+        graphs.FamilySpec("johnson", n=10**9, k=5 * 10**8),
+        graphs.FamilySpec("bipartite_kneser", n=graphs.MAX_VERTICES // 2 + 1, k=1),
+        graphs.FamilySpec("bipartite_kneser", n=10**9, k=4 * 10**8),
+        graphs.FamilySpec("petersen", n=graphs.MAX_VERTICES // 2 + 1, k=1),
+    ],
+)
+def test_vertex_cap_refuses_larger_members_before_building(monkeypatch, spec):
+    def build(*args):
+        raise AssertionError("rows were built")
+
+    monkeypatch.setattr(hales, "hales_order", build)
+    monkeypatch.setattr(hales, "slice_order", build)
+    monkeypatch.setattr(graphs, "_edges_by_digit_changes", build)
+    with pytest.raises(SizeCapError, match=f"more than {graphs.MAX_VERTICES} vertices"):
+        spec.validate()
+    with pytest.raises(SizeCapError):
+        graphs.generate(spec)
 
 
 def test_graph_rejects_self_loops_and_duplicate_labels():
@@ -237,6 +368,16 @@ def test_pace_label_collision(tmp_path, capsys):
     _assert_gr_rejected(tmp_path, capsys, "c label 1 'a'\nc label 1 'b'\np tw 3 0\n", 2)
     _assert_gr_rejected(tmp_path, capsys, "p tw 3 0\nc label 4 'd'\n", 2)
     _assert_gr_rejected(tmp_path, capsys, "p tw 3 0\nc label 1 [1]\n", 2)
+
+
+def test_pace_vertex_cap(tmp_path, capsys):
+    over = graphs.MAX_VERTICES + 1
+    _assert_gr_rejected(tmp_path, capsys, f"c a comment\np tw {over} 0\n", 2)
+    _assert_gr_rejected(tmp_path, capsys, "p tw 1000000000 0\n", 1)
+    # a label comment is checked after the last line, so the header's cap error comes first
+    _assert_gr_rejected(tmp_path, capsys, f"c label 1 'a'\nc label 2 'a'\np tw {over} 1\n1 2\n", 3)
+    # an earlier line's error comes first
+    _assert_gr_rejected(tmp_path, capsys, f"1 2\np tw {over} 1\n", 1)
 
 
 def test_pace_edge_count_mismatch_names_header_line(tmp_path, capsys):

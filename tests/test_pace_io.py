@@ -5,7 +5,9 @@ The reference functions below are the earlier ``graphs.dump_graph``,
 copied unchanged apart from their names. The writers must produce the
 same bytes. The readers are fuzzed over mutated files and must return
 the same value or raise the same exception class with the same line
-and message.
+and message. The one exception is the vertex cap, which the reference
+lacks: a ``.gr`` header over ``graphs.MAX_VERTICES`` must be refused on
+its line unless an earlier line is refused first.
 """
 
 import ast
@@ -267,6 +269,9 @@ def test_write_td_bytes_match_reference_on_any_ids(tmp_path_factory, bags, tree,
 # ----------------------------------------------------------------------
 
 TOKENS = ["x", "0", "1", "2", "-1", "+3", "1_0", "9" * 5000, "99", "\u0663"]
+# vertex counts over the cap, for .gr files only: on a .td header the
+# reference would build a list of that many bag ids
+GR_TOKENS = TOKENS + [str(graphs.MAX_VERTICES + 1), "9" * 12]
 LABELS = [
     "True", "-0", "(1,)", "('a, b', 1)", "'a\\'b'", "[1]", "1;2", "(1, 2", "('v', 1)", "('v', 2)", "(1, 1)",
     "1", "'a'", '"a"', "()", "(1,,)", "(1, 2,)", "( 1, 2)", "((1, 2), 3)", "1.5", "(1, 'x')", "'", "9" * 5000,
@@ -296,7 +301,7 @@ GR_BASES = [
 
 
 @st.composite
-def mutated(draw, bases, labels):
+def mutated(draw, bases, labels, tokens=TOKENS):
     """A base text after a few line edits, token replacements and label rewrites."""
     lines = draw(st.sampled_from(bases)).split("\n")
     index = st.integers(0, 10**6)
@@ -315,7 +320,7 @@ def mutated(draw, bases, labels):
             lines[i], lines[j] = lines[j], lines[i]
         elif op == "token":
             parts = lines[i].split(" ")
-            parts[draw(index) % len(parts)] = draw(st.sampled_from(TOKENS))
+            parts[draw(index) % len(parts)] = draw(st.sampled_from(tokens))
             lines[i] = " ".join(parts)
         elif op == "crlf":
             lines[i] += "\r"
@@ -336,7 +341,7 @@ def mutated(draw, bases, labels):
                 lines.insert(i, lines[head])
             else:
                 parts = lines[head].split(" ")
-                parts[draw(index) % len(parts)] = draw(st.sampled_from(TOKENS))
+                parts[draw(index) % len(parts)] = draw(st.sampled_from(tokens))
                 lines[head] = " ".join(parts)
     return "\n".join(lines)
 
@@ -368,8 +373,48 @@ def _assert_same(read_new, read_ref, value, path):
         assert new == ref
 
 
+def _over_cap_header(path):
+    """(line, n) of the first problem line if it declares n > MAX_VERTICES vertices, else None."""
+    with open(path) as fh:
+        for lineno, raw in enumerate(fh, 1):
+            parts = raw.split()
+            if not parts or not parts[0].startswith("p"):
+                continue
+            try:
+                n, m = int(parts[2]), int(parts[3])
+            except (IndexError, ValueError):
+                return None
+            ok = len(parts) == 4 and parts[1] == "tw" and m >= 0 and n > graphs.MAX_VERTICES
+            return (lineno, n) if ok else None
+    return None
+
+
+def _assert_same_graph_or_cap(path):
+    """As :func:`_assert_same`, except that a header over the vertex cap is refused on its line.
+
+    The reference has no cap and would build every vertex, so it reads
+    only the lines before that header: an error it raises on one of
+    them comes first, and otherwise the cap error is required.
+    """
+    header = _over_cap_header(path)
+    if header is None:
+        _assert_same(graphs.read_graph, _read_graph_ref, _graph_value, path)
+        return
+    line, nverts = header
+    with open(path) as fh:
+        before = list(fh)[: line - 1]
+    head = path.with_name("head.gr")
+    head.write_text("".join(before))
+    ref = _outcome(_read_graph_ref, head)
+    new = _outcome(graphs.read_graph, path)
+    if ref[0] == "raised" and ref[3] != "line 1: missing problem line":
+        assert new == ref
+    else:
+        assert new == ("raised", ParseError, line, f"line {line}: {nverts} vertices exceed the cap of {graphs.MAX_VERTICES}")
+
+
 @settings(max_examples=600, deadline=None)
-@given(mutated(GR_BASES, labels=True))
+@given(mutated(GR_BASES, labels=True, tokens=GR_TOKENS))
 @example("c label 1 True\np tw 2 0\n")  # True == 1, the default label of vertex 2
 @example("c label 1 ('v', 1)\nc label 2 ('v', 1)\np tw 2 0\n")
 @example("c label 1 -0\nc label 2 (1,)\nc label 3 ('a, b', 1)\nc label 4 'a\\'b'\np tw 4 0\n")
@@ -378,10 +423,13 @@ def _assert_same(read_new, read_ref, value, path):
 @example("p tw 1 0\nc label 1 (1, 2\n")
 @example("c label 1 " + "9" * 5000 + "\np tw 1 0\n")
 @example("p tw 3 2\n1 2\n\t2\t3\r\n")
+@example("c label 1 'a'\nc label 2 'a'\np tw 1048577 1\n1 2\n")  # the cap comes before the whole-file checks
+@example("c label 1 'a'\nc label 1 'b'\np tw 999999999999 0\n")  # an earlier line's error comes first
+@example("p tw 3 0\np tw 1048577 0\n")  # a second header is refused as one
 def test_read_graph_matches_reference(tmp_path_factory, text):
     path = tmp_path_factory.getbasetemp() / "fuzz.gr"
     path.write_bytes(text.encode())
-    _assert_same(graphs.read_graph, _read_graph_ref, _graph_value, path)
+    _assert_same_graph_or_cap(path)
 
 
 @pytest.fixture(scope="module")
