@@ -8,7 +8,8 @@ Subpackages by concern:
 * :mod:`widthlab.decomp` - decomposition certificates and validators
 * :mod:`widthlab.oracles` - exhaustive exact baselines
 * :mod:`widthlab.bounds` - lower-bound engines (brambles, spectra, degrees)
-* :mod:`widthlab.cli` - command line front end and verification suites
+* :mod:`widthlab.suites` - named verification suites and formula tables
+* :mod:`widthlab.cli` - command line front end
 """
 
 from . import bounds, decomp, graphs, hales, oracles, widthcalc  # noqa: F401

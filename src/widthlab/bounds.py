@@ -187,13 +187,9 @@ class Spectrum:
         return tuple(sorted(self.pairs, key=lambda p: -p[0]))
 
     def second_largest(self) -> int:
-        expanded = []
-        for lam, mult in self.sorted_pairs():
-            expanded.append((lam, mult))
-        top, mult = expanded[0]
-        if mult >= 2:
-            return top
-        return expanded[1][0]
+        pairs = self.sorted_pairs()
+        top, mult = pairs[0]
+        return top if mult >= 2 else pairs[1][0]
 
 
 def bk_spectrum(k: int) -> Spectrum:

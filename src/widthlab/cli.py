@@ -16,7 +16,7 @@ import json
 import sys
 
 from . import bounds, decomp, graphs, hales, oracles, suites, widthcalc
-from .errors import HypothesisError, ParameterError, WidthLabError
+from .errors import HypothesisError, ParameterError, SizeCapError, WidthLabError
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -66,12 +66,12 @@ def _cmd_gen(args) -> int:
 
 def _cmd_hales(args) -> int:
     n = _single(args.n, "n")
-    order = hales.hales_order(n)
+    if n >= graphs.MAX_VERTICES.bit_length():
+        raise SizeCapError(f"hales --n {n} asks for 2^{n} words, above the cap of {graphs.MAX_VERTICES}")
+    vectors = hales.word_bits(hales.hales_order(n), n).tolist()
     with _out_stream(args.out) as fh:
         fh.write("rank,vector\n")
-        for i, row in enumerate(order.rows, start=1):
-            vec = "".join(str(b) for b in hales.vector_of(int(row), n))
-            fh.write(f"{i},{vec}\n")
+        fh.writelines(f"{i},{''.join(map(str, vec))}\n" for i, vec in enumerate(vectors, start=1))
     return EXIT_OK
 
 

@@ -37,7 +37,6 @@ __all__ = [
     "gen_bipartite_kneser",
     "gen_petersen",
     "generate",
-    "labeled_equal",
     "read_graph",
     "write_graph",
     "dump_graph",
@@ -116,9 +115,6 @@ class Graph:
         indptr, _ = self._csr()
         return np.diff(indptr)
 
-    def degree(self, v: int) -> int:
-        return int(self.degrees()[v])
-
     def min_degree(self) -> int:
         return int(self.degrees().min()) if self.n else 0
 
@@ -128,11 +124,6 @@ class Graph:
     def is_regular(self) -> bool:
         d = self.degrees()
         return bool(self.n == 0 or (d == d[0]).all())
-
-    def has_edge(self, u: int, v: int) -> bool:
-        if self.n <= BITSET_MAX_VERTICES:
-            return bool((self.neighbor_masks()[u] >> v) & 1)
-        return v in self.neighbors(u)
 
     def neighbor_masks(self) -> list:
         """Per-vertex neighborhoods as python int bitmasks (small graphs only)."""
@@ -161,15 +152,6 @@ class Graph:
         if self._label_index is None:
             self._label_index = {lab: i for i, lab in enumerate(self.labels)}
         return self._label_index[label]
-
-    def induced(self, vertices) -> "Graph":
-        """Induced subgraph; vertices keep their labels, ids are re-packed."""
-        vs = [int(v) for v in vertices]
-        remap = {v: i for i, v in enumerate(vs)}
-        keep = np.isin(self.edges[:, 0], vs) & np.isin(self.edges[:, 1], vs)
-        sub = self.edges[keep]
-        edges = [(remap[int(u)], remap[int(v)]) for u, v in sub]
-        return Graph(len(vs), edges, labels=[self.labels[v] for v in vs])
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.num_edges})"
@@ -273,8 +255,8 @@ def gen_hamming(t: int, q: int, n: int) -> Graph:
     """
     FamilySpec("hamming", t=t, q=q, n=n).validate()
     if q == 2:
-        rows = hales.hales_order(n).rows
-        labels = [hales.vector_of(int(r), n) for r in rows]
+        rows = hales.hales_order(n)
+        labels = list(map(tuple, hales.word_bits(rows, n).tolist()))
         return Graph(1 << n, _edges_by_digit_changes(rows, 2, n, t), labels=labels)
     words = list(itertools.product(range(1, q + 1), repeat=n))
     return Graph(len(words), _edges_by_digit_changes(np.arange(len(words)), q, n, t), labels=words)
@@ -290,15 +272,15 @@ def gen_johnson(n: int, k: int) -> Graph:
     distance 1), found by C(n,k)·(n + C(n,2)) lookups.
     """
     FamilySpec("johnson", n=n, k=k).validate()
-    rows = hales.slice_order(n, k).rows
+    rows = hales.slice_order(n, k)
     return Graph(len(rows), _edges_by_digit_changes(rows, 2, n, 2), labels=[_subset_label(int(r)) for r in rows])
 
 
 def gen_bipartite_kneser(n: int, k: int) -> Graph:
     """k-subsets versus (n-k)-subsets of [n], adjacent under inclusion."""
     FamilySpec("bipartite_kneser", n=n, k=k).validate()
-    left = hales.slice_order(n, k).rows
-    right = hales.slice_order(n, n - k).rows
+    left = hales.slice_order(n, k)
+    right = hales.slice_order(n, n - k)
     incl = (left[:, None] & ~right[None, :]) == 0
     ii, jj = np.nonzero(incl)
     nl = len(left)
@@ -321,15 +303,6 @@ def gen_petersen(n: int, k: int) -> Graph:
     edges = np.concatenate([spokes, outer, inner])
     labels = [("v", int(j) + 1) for j in i] + [("u", int(j) + 1) for j in i]
     return Graph(2 * n, edges, labels=labels)
-
-
-def labeled_equal(a: Graph, b: Graph) -> bool:
-    """Same labeled graph: identical label sets and label-level edge sets."""
-    if a.n != b.n or set(a.labels) != set(b.labels):
-        return False
-    ea = {frozenset((a.labels[int(u)], a.labels[int(v)])) for u, v in a.edges}
-    eb = {frozenset((b.labels[int(u)], b.labels[int(v)])) for u, v in b.edges}
-    return ea == eb
 
 
 # ----------------------------------------------------------------------

@@ -10,8 +10,9 @@ minimizes the outer vertex boundary in the distance graphs; that
 minimality is never assumed here, only verified exhaustively on small
 instances by :func:`verify_hales_property`.
 
-Words are stored as uint32 bitmasks with coordinate j (1-based) in bit
-j-1, so a trailing coordinate append is a single OR.
+An order is a plain uint32 numpy array of words, one per row. A word
+is a bitmask with coordinate j (1-based) in bit j-1, so a trailing
+coordinate append is a single OR.
 """
 
 from __future__ import annotations
@@ -23,41 +24,20 @@ import numpy as np
 from .errors import ParameterError, SizeCapError
 
 __all__ = [
-    "SliceOrder",
-    "Ordering",
     "HalesReport",
     "slice_order",
     "hales_order",
-    "vector_of",
+    "word_bits",
     "verify_hales_property",
 ]
 
 
-def vector_of(mask: int, n: int) -> tuple:
-    """0/1 coordinate tuple of a word bitmask."""
-    return tuple((mask >> j) & 1 for j in range(n))
+def word_bits(rows: np.ndarray, n: int) -> np.ndarray:
+    """uint8 0/1 matrix of length-n words: entry [i, j] is coordinate j+1 (bit j) of ``rows[i]``."""
+    return np.unpackbits(np.asarray(rows, dtype="<u4").view(np.uint8), bitorder="little").reshape(-1, 32)[:, :n]
 
 
-@dataclass(frozen=True)
-class SliceOrder:
-    """Ordered weight-k slice of the length-n binary words."""
-
-    n: int
-    k: int
-    rows: np.ndarray  # uint32 bitmasks, one per row
-
-    def vectors(self) -> list:
-        return [vector_of(int(r), self.n) for r in self.rows]
-
-    def check(self) -> None:
-        """Exhaustive invariant check: distinct rows, all of weight k."""
-        if len(np.unique(self.rows)) != len(self.rows):
-            raise AssertionError("slice rows are not pairwise distinct")
-        if not (np.bitwise_count(self.rows) == self.k).all():
-            raise AssertionError("slice rows have wrong weight")
-
-
-def slice_order(n: int, k: int) -> SliceOrder:
+def slice_order(n: int, k: int) -> np.ndarray:
     """Rows of the weight-k slice at length n, in recursion order.
 
     Built iteratively over word lengths 1..n, keeping only the weight
@@ -88,50 +68,14 @@ def slice_order(n: int, k: int) -> SliceOrder:
                 continue
             nxt[j] = np.concatenate([cur[j - 1] | bit, cur[j]])
         cur = nxt
-    return SliceOrder(n, k, cur[k])
+    return cur[k]
 
 
-@dataclass(frozen=True)
-class Ordering:
-    """Bijection vertex -> rank, stored as the vertex sequence in rank order."""
-
-    sequence: tuple
-
-    def __post_init__(self):
-        seq = self.sequence
-        if sorted(seq) != list(range(len(seq))):
-            raise ParameterError("ordering must be a bijection onto 0..n-1")
-
-    @property
-    def n(self) -> int:
-        return len(self.sequence)
-
-    def rank(self, v: int) -> int:
-        ranks = {u: i + 1 for i, u in enumerate(self.sequence)}
-        return ranks[v]
-
-
-@dataclass(frozen=True)
-class HalesOrder:
-    """Global order on all 2^n words: slices stacked by increasing weight."""
-
-    n: int
-    rows: np.ndarray
-
-    def rank_of(self, mask: int) -> int:
-        """1-based rank of a word bitmask."""
-        idx = np.nonzero(self.rows == np.uint32(mask))[0]
-        if not idx.size:
-            raise ParameterError(f"word {mask:#x} is not a length-{self.n} mask")
-        return int(idx[0]) + 1
-
-
-def hales_order(n: int) -> HalesOrder:
+def hales_order(n: int) -> np.ndarray:
     """Stack slice_order(n, 0..n) into the global order on 2^n words."""
     if n < 1:
         raise ParameterError("hales_order needs n >= 1")
-    rows = np.concatenate([slice_order(n, k).rows for k in range(n + 1)])
-    return HalesOrder(n, rows)
+    return np.concatenate([slice_order(n, k) for k in range(n + 1)])
 
 
 @dataclass(frozen=True)
@@ -144,43 +88,35 @@ class HalesReport:
     bv: tuple = ()
 
 
-def verify_hales_property(graph, ordering=None, limit: int = 16) -> HalesReport:
-    """Check both prefix conditions of a boundary-greedy ordering by brute force.
+def verify_hales_property(graph, limit: int = 16) -> HalesReport:
+    """Check both prefix conditions of the graph's vertex order by brute force.
 
-    Condition 1: every prefix of the ordering attains the exhaustive
-    minimum outer boundary for its size. Condition 2: the interior
-    vertices of each prefix (those with no neighbor outside it) are
-    exactly the lowest-ranked ones. The reference minima come from
-    :func:`widthlab.oracles.bv_table`, never from the formulas under
-    test; graphs beyond ``limit`` vertices are refused rather than
-    sampled.
+    The order is vertex 0, 1, ..., n-1. Condition 1: every prefix
+    attains the exhaustive minimum outer boundary for its size.
+    Condition 2: the interior vertices of each prefix (those with no
+    neighbor outside it) are exactly the lowest-numbered ones. The
+    reference minima come from :func:`widthlab.oracles.bv_table`, never
+    from the formulas under test; graphs beyond ``limit`` vertices are
+    refused rather than sampled.
     """
     n = graph.num_vertices
     if n > limit:
         raise SizeCapError(f"exhaustive prefix check capped at {limit} vertices, graph has {n}")
     from . import oracles  # local import; oracles depends on graphs
 
-    if ordering is None:
-        seq = tuple(range(n))
-    elif isinstance(ordering, Ordering):
-        seq = ordering.sequence
-    elif isinstance(ordering, HalesOrder):
-        seq = tuple(range(n))
-    else:
-        seq = tuple(Ordering(tuple(ordering)).sequence)
-
     bv = oracles.bv_table(graph, cap=limit)
     masks = graph.neighbor_masks()
     full = (1 << n) - 1
     prefix = 0
     closure = 0
-    for l, v in enumerate(seq, start=1):
+    for v in range(n):
         prefix |= 1 << v
         closure |= masks[v]
+        l = v + 1
         boundary = (closure & ~prefix & full).bit_count()
         if boundary != int(bv[l]):
             return HalesReport(False, l, f"prefix boundary {boundary} exceeds minimum {int(bv[l])}", tuple(int(x) for x in bv))
-        interior = [u for u in seq[:l] if masks[u] & ~prefix & full == 0]
-        if set(interior) != set(seq[: len(interior)]):
+        interior = [u for u in range(l) if masks[u] & ~prefix & full == 0]
+        if interior != list(range(len(interior))):
             return HalesReport(False, l, "interior vertices are not the lowest-ranked ones", tuple(int(x) for x in bv))
     return HalesReport(True, None, None, tuple(int(x) for x in bv))

@@ -26,12 +26,9 @@ __all__ = [
     "exact_treewidth",
     "exact_pathwidth",
     "exact_bandwidth",
-    "phi",
-    "b_v",
     "bv_table",
     "min_balanced_separator",
     "max_cross_intersecting_sum",
-    "ksubsets_meeting_all",
     "bipartite_perfect_matching",
     "exact_transversal",
 ]
@@ -250,33 +247,11 @@ def exact_bandwidth(g: Graph, cap: int = BW_CAP):
     return best, best_order
 
 
-def phi(g: Graph, subset) -> int:
-    """Outer boundary size |N(S)|: vertices outside S adjacent to S."""
-    masks = g.neighbor_masks()
-    s = 0
-    for v in subset:
-        s |= 1 << v
-    nb = 0
-    m = s
-    while m:
-        b = m & -m
-        m ^= b
-        nb |= masks[b.bit_length() - 1]
-    return (nb & ~s).bit_count()
-
-
 def bv_table(g: Graph, cap: int = BV_CAP) -> np.ndarray:
     """Minimum outer boundary per subset size, exhaustive over all 2^n subsets."""
     n = g.num_vertices
     _check_cap("exhaustive boundary minimization", n, cap)
     return _kernels.bv_table(_masks_u64(g), n)
-
-
-def b_v(g: Graph, size: int, cap: int = BV_CAP) -> int:
-    """Minimum outer boundary over all vertex subsets of the given size."""
-    if not (0 <= size <= g.num_vertices):
-        raise ParameterError(f"subset size {size} out of range")
-    return int(bv_table(g, cap=cap)[size])
 
 
 def min_balanced_separator(g: Graph, size_cap: int, cap: int = SEPARATOR_CAP):
@@ -340,17 +315,6 @@ def min_balanced_separator(g: Graph, size_cap: int, cap: int = SEPARATOR_CAP):
     return None
 
 
-def ksubsets_meeting_all(n: int, k: int, family) -> list:
-    """All k-subsets of [n] (as sorted tuples) intersecting every member of family."""
-    members = [frozenset(a) for a in family]
-    out = []
-    for comb in combinations(range(1, n + 1), k):
-        cs = set(comb)
-        if all(cs & a for a in members):
-            out.append(comb)
-    return out
-
-
 def max_cross_intersecting_sum(n: int, k: int, cap: int = CROSS_CAP) -> int:
     """Max |A| + |C| over nonempty cross-intersecting pairs of k-subset families.
 
@@ -358,7 +322,7 @@ def max_cross_intersecting_sum(n: int, k: int, cap: int = CROSS_CAP) -> int:
     meeting every member of A), so only the 2^C(n,k) choices of A are
     enumerated; C is computed, never enumerated.
     """
-    subsets = [int(r) for r in slice_order(n, k).rows]
+    subsets = slice_order(n, k).tolist()
     m = len(subsets)
     if m > cap:
         raise SizeCapError(f"cross-intersecting scan capped at {cap} subsets, got {m}")

@@ -27,6 +27,7 @@ __all__ = [
     "SuiteConfig",
     "SUITES",
     "run_suite",
+    "suite_passed",
     "write_report",
     "emit_table",
     "TABLE_FORMULAS",
@@ -157,7 +158,7 @@ def _job_hales(t: int, n: int) -> list:
 
     recs = []
     g = graphs.gen_hamming(t, 2, n)
-    hales_report = hales_mod.verify_hales_property(g, None, limit=16)
+    hales_report = hales_mod.verify_hales_property(g, limit=16)
     recs.append(_rec_cmp(f"hales t={t} n={n} prefix_conditions", hales_report.ok, "ok" if hales_report.ok else f"violation at prefix {hales_report.first_violation}", "ok"))
     bv = oracles.bv_table(g)
     recs.append(_rec(f"hales t={t} n={n} max_bv_vs_bw", int(max(bv[1:])), widthcalc.bw_closed(t, n)))
@@ -184,13 +185,9 @@ def _job_harper(t: int, n: int) -> list:
     ]
 
 
-def _expected_verbatim_gap(g, n: int, k: int) -> tuple:
-    pairs = []
-    for j in range(k + 1, 2 * k):
-        u = g.index_of_label(("v", j))
-        v = g.index_of_label(("u", j))
-        pairs.append((min(u, v), max(u, v)))
-    return tuple(sorted(pairs))
+def _expected_verbatim_gap(n: int, k: int) -> tuple:
+    """Spokes v_j u_j, k < j < 2k, by gen_petersen's ids v_j -> j-1 and u_j -> n+j-1."""
+    return tuple((j - 1, n + j - 1) for j in range(k + 1, 2 * k))
 
 
 def _job_petersen_pd(n: int, k_max: int) -> list:
@@ -219,7 +216,7 @@ def _job_petersen_pd(n: int, k_max: int) -> list:
                 )
             )
         else:
-            expected = _expected_verbatim_gap(g, n, k)
+            expected = _expected_verbatim_gap(n, k)
             observed = tuple(sorted(vrep.uncovered_edges))
             matches = (
                 observed == expected

@@ -26,7 +26,6 @@ direct routes force the corrected value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -36,7 +35,6 @@ from .errors import InfeasibleError, ParameterError, SizeCapError, UndefinedValu
 
 __all__ = [
     "NEG_INF",
-    "BooleanBlock",
     "binom_ext",
     "distance_block",
     "assemble_block",
@@ -67,31 +65,6 @@ def binom_ext(x: int, y: int) -> int:
     return math.comb(x, y)
 
 
-@dataclass(frozen=True)
-class BooleanBlock:
-    """0/1 matrix slice of the ordered adjacency matrix.
-
-    ``row_slice``/``col_slice`` record the (t, n, weight) provenance;
-    weight ``None`` marks the full matrix. An empty block (out-of-range
-    weight) has a zero dimension.
-    """
-
-    bits: np.ndarray
-    row_slice: tuple
-    col_slice: tuple
-
-    @property
-    def shape(self) -> tuple:
-        return self.bits.shape
-
-    @property
-    def is_empty(self) -> bool:
-        return self.bits.size == 0
-
-    def is_zero(self) -> bool:
-        return self.is_empty or not self.bits.any()
-
-
 def _within(d: np.ndarray, t: int) -> np.ndarray:
     """Boolean mask of the adjacency rule of the distance-t graph: 1 <= d <= t."""
     return (d >= 1) & (d <= t)
@@ -111,22 +84,22 @@ def distance_block(n: int, k: int, kp: int) -> np.ndarray:
         raise SizeCapError(f"block assembly capped at n={BLOCK_MAX_N}, got n={n}")
     if not (0 <= k <= n) or not (0 <= kp <= n):
         return np.zeros((0, 0), dtype=np.uint8)
-    rows = hales.slice_order(n, k).rows
-    cols = hales.slice_order(n, kp).rows
+    rows = hales.slice_order(n, k)
+    cols = hales.slice_order(n, kp)
     if len(rows) * len(cols) > BLOCK_MAX_ELEMS:
         raise SizeCapError(f"block with {len(rows)}x{len(cols)} entries exceeds the dense cap")
     return np.bitwise_count(rows[:, None] ^ cols[None, :])
 
 
-def assemble_block(t: int, n: int, k: int, kp: int) -> BooleanBlock:
-    """Weight-k rows versus weight-kp columns of the ordered distance matrix.
+def assemble_block(t: int, n: int, k: int, kp: int) -> np.ndarray:
+    """uint8 0/1 block: weight-k rows versus weight-kp columns of the ordered distance matrix.
 
-    Out-of-range weights give the empty block, matching the bookkeeping
-    convention used by the recursive split.
+    Out-of-range weights give the empty 0x0 block, matching the
+    bookkeeping convention used by the recursive split.
     """
     if n < 1 or t < 0:
         raise ParameterError(f"assemble_block needs n >= 1 and t >= 0, got t={t} n={n}")
-    return BooleanBlock(_within(distance_block(n, k, kp), t).view(np.uint8), (t, n, k), (t, n, kp))
+    return _within(distance_block(n, k, kp), t).view(np.uint8)
 
 
 def block_radii(n: int, k: int, kp: int, ts) -> list:
@@ -143,23 +116,19 @@ def block_radii(n: int, k: int, kp: int, ts) -> list:
     return [manhattan_radius(_within(d, t)) for t in ts]
 
 
-def assemble_full(t: int, n: int) -> BooleanBlock:
-    """Full 2^n x 2^n ordered adjacency matrix of the binary distance-t graph."""
+def assemble_full(t: int, n: int) -> np.ndarray:
+    """Full 2^n x 2^n uint8 ordered adjacency matrix of the binary distance-t graph."""
     if n < 1 or t < 1:
         raise ParameterError(f"assemble_full needs n >= 1 and t >= 1, got t={t} n={n}")
     if n > FULL_MATRIX_MAX_N:
         raise SizeCapError(f"full matrix capped at n={FULL_MATRIX_MAX_N}, got n={n}")
-    rows = hales.hales_order(n).rows
+    rows = hales.hales_order(n)
     size = 1 << n
     bits = np.empty((size, size), dtype=np.uint8)
     chunk = max(1, (1 << 24) // size)
     for start in range(0, size, chunk):
         bits[start : start + chunk] = _within(np.bitwise_count(rows[start : start + chunk, None] ^ rows[None, :]), t)
-    return BooleanBlock(bits, (t, n, None), (t, n, None))
-
-
-def _as_bits(m) -> np.ndarray:
-    return m.bits if isinstance(m, BooleanBlock) else np.asarray(m)
+    return bits
 
 
 def _row_extents(bits: np.ndarray):
@@ -175,9 +144,8 @@ def _row_extents(bits: np.ndarray):
     return rows[hit], first[hit], last[hit]
 
 
-def matrix_bandwidth(m) -> int:
+def matrix_bandwidth(bits: np.ndarray) -> int:
     """Max |i - j| over nonzero entries of a square matrix."""
-    bits = _as_bits(m)
     if bits.ndim != 2 or bits.shape[0] != bits.shape[1]:
         raise ParameterError("matrix bandwidth needs a square matrix")
     ii, first, last = _row_extents(bits)
@@ -186,14 +154,13 @@ def matrix_bandwidth(m) -> int:
     return int(np.maximum(ii - first, last - ii).max())
 
 
-def manhattan_radius(m):
+def manhattan_radius(bits: np.ndarray):
     """Max (rows - i + j) over nonzero entries; NEG_INF for zero/empty matrices.
 
     The reference point is the imaginary cell just left of the
     bottom-left corner, so on a symmetric s x s block the radius equals
     the bandwidth plus s.
     """
-    bits = _as_bits(m)
     ii, _, last = _row_extents(bits)
     if not ii.size:
         return NEG_INF

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from widthlab import cli, decomp, graphs, suites
@@ -17,7 +18,8 @@ def test_gen_round_trip(tmp_path, capsys):
     assert run(["gen", "--family", "petersen", "--n", "5", "--k", "2", "--out", str(out)]) == 0
     capsys.readouterr()
     back = graphs.read_graph(out)
-    assert graphs.labeled_equal(back, graphs.gen_petersen(5, 2))
+    g = graphs.gen_petersen(5, 2)
+    assert back.labels == g.labels and np.array_equal(back.edges, g.edges)
 
 
 def test_gen_to_stdout(capsys):
@@ -77,10 +79,18 @@ def test_raised_error_is_usage_error(monkeypatch, capsys, error):
 def test_hales_csv(tmp_path):
     out = tmp_path / "order.csv"
     assert run(["hales", "--n", "3", "--out", str(out)]) == 0
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "rank,vector"
-    assert lines[1] == "1,000"
-    assert len(lines) == 9
+    assert out.read_text() == "rank,vector\n1,000\n2,001\n3,010\n4,100\n5,011\n6,101\n7,110\n8,111\n"
+
+
+def test_hales_above_vertex_cap_writes_nothing(tmp_path, capsys):
+    # 2^21 words exceed graphs.MAX_VERTICES; no row is built or written
+    out = tmp_path / "order.csv"
+    assert run(["hales", "--n", "21", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert run(["hales", "--n", "21"]) == 2
+    printed = capsys.readouterr()
+    assert printed.out == ""
+    assert printed.err.startswith("error: ")
 
 
 def test_bw_agreement(capsys):

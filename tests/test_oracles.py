@@ -1,5 +1,6 @@
 """Exhaustive baseline computations and their certificates."""
 
+import itertools
 import math
 
 import pytest
@@ -88,15 +89,12 @@ def test_bandwidth_order_certifies_value():
 
 
 def test_boundary_oracles():
-    g = cycle(4)
-    assert oracles.phi(g, [0]) == 2
-    assert oracles.b_v(g, 1) == 2
-    assert oracles.b_v(g, 2) == 2
-    q4 = graphs.gen_hamming(1, 2, 4)
-    assert oracles.b_v(q4, 1) == 4  # single vertex boundary = degree
-    assert oracles.b_v(q4, 8) == 6
+    assert oracles.bv_table(cycle(4)).tolist() == [0, 2, 2, 1, 0]
+    bv = oracles.bv_table(graphs.gen_hamming(1, 2, 4))
+    assert bv[1] == 4  # single vertex boundary = degree
+    assert bv[8] == 6
     for g in [cycle(5), graphs.gen_petersen(5, 2)]:
-        assert oracles.b_v(g, 1) == g.min_degree()
+        assert oracles.bv_table(g)[1] == g.min_degree()
 
 
 def test_size_caps():
@@ -146,10 +144,25 @@ def test_cross_intersecting_sums(n, expected):
     assert value == math.comb(n, 2) - math.comb(n - 2, 2) + 1
 
 
+def ksubsets_meeting_all(n, k, family):
+    """All k-subsets of [n] (as sorted tuples) intersecting every member of family."""
+    return [c for c in itertools.combinations(range(1, n + 1), k) if all(set(c) & set(a) for a in family)]
+
+
 def test_cross_intersecting_forced_partner():
-    partner = oracles.ksubsets_meeting_all(5, 2, [(1, 2)])
+    partner = ksubsets_meeting_all(5, 2, [(1, 2)])
     assert set(partner) == {c for c in partner if set(c) & {1, 2}}
     assert len(partner) == 7  # all 2-subsets meeting {1,2}
+    # the oracle's maximum over families A with their forced partners
+    for n in (4, 5):
+        subsets = list(itertools.combinations(range(1, n + 1), 2))
+        best = 0
+        for size in range(1, len(subsets) + 1):
+            for family in itertools.combinations(subsets, size):
+                partner = ksubsets_meeting_all(n, 2, family)
+                if partner:
+                    best = max(best, size + len(partner))
+        assert best == oracles.max_cross_intersecting_sum(n, 2)
 
 
 def test_cross_intersecting_cap():
@@ -173,7 +186,7 @@ def test_matching_kneser(n, k):
     used = {v for pair in matching for v in pair}
     assert len(used) == g.num_vertices
     for u, v in matching:
-        assert g.has_edge(u, v)
+        assert v in g.neighbors(u)
 
 
 def test_transversal_examples():

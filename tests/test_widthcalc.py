@@ -37,8 +37,8 @@ def _manhattan_radius_reference(bits):
 def _block_bits_reference(t, n, k, kp):
     if not (0 <= k <= n) or not (0 <= kp <= n):
         return np.zeros((0, 0), dtype=np.uint8)
-    rows = hales.slice_order(n, k).rows
-    cols = hales.slice_order(n, kp).rows
+    rows = hales.slice_order(n, k)
+    cols = hales.slice_order(n, kp)
     x = rows[:, None] ^ cols[None, :]
     d = np.unpackbits(x.view(np.uint8)).reshape(*x.shape, 32).sum(axis=2)
     return ((d >= 1) & (d <= t)).astype(np.uint8)
@@ -158,7 +158,7 @@ def test_assemble_block_matches_reference_bits():
         for t in range(0, n + 2):
             for k in range(-1, n + 2):
                 for kp in range(-1, n + 2):
-                    bits = wc.assemble_block(t, n, k, kp).bits
+                    bits = wc.assemble_block(t, n, k, kp)
                     expected = _block_bits_reference(t, n, k, kp)
                     assert bits.dtype == np.uint8 and bits.shape == expected.shape, (t, n, k, kp)
                     assert np.array_equal(bits, expected), (t, n, k, kp)
@@ -175,7 +175,7 @@ def test_distance_block_caps_and_empty_convention():
         wc.block_radii(3, 1, 2, [1, -1])
     # large blocks, and words of more than 16 bits
     for (t, n, k, kp) in [(4, 12, 6, 6), (5, 13, 6, 7), (3, 17, 1, 2), (3, 17, 8, 1)]:
-        assert np.array_equal(wc.assemble_block(t, n, k, kp).bits, _block_bits_reference(t, n, k, kp)), (t, n, k, kp)
+        assert np.array_equal(wc.assemble_block(t, n, k, kp), _block_bits_reference(t, n, k, kp)), (t, n, k, kp)
 
 
 def test_grouped_suite_route_matches_per_tuple_blocks():
@@ -190,13 +190,13 @@ def test_grouped_suite_route_matches_per_tuple_blocks():
 
 
 def test_assemble_block_examples():
-    assert wc.assemble_block(1, 2, 0, 1).bits.tolist() == [[1, 1]]
+    assert wc.assemble_block(1, 2, 0, 1).tolist() == [[1, 1]]
     empty = wc.assemble_block(2, 5, 2, 6)
-    assert empty.is_empty and wc.manhattan_radius(empty) == NEG
+    assert empty.size == 0 and wc.manhattan_radius(empty) == NEG
     far = wc.assemble_block(2, 5, 2, 5)  # distance 3 > t: zero but not empty
-    assert not far.is_empty and far.is_zero()
+    assert far.size and not far.any()
     zeros = wc.assemble_block(1, 4, 0, 2)
-    assert zeros.shape == (1, 6) and zeros.is_zero()
+    assert zeros.shape == (1, 6) and not zeros.any()
 
 
 def test_assemble_block_parity_collapse():
@@ -209,12 +209,12 @@ def test_assemble_block_parity_collapse():
                         continue
                     a = wc.assemble_block(t, n, k, kp)
                     b = wc.assemble_block(t - 1, n, k, kp)
-                    assert np.array_equal(a.bits, b.bits), (t, n, k, kp)
+                    assert np.array_equal(a, b), (t, n, k, kp)
 
 
 def test_assemble_full_small_and_caps():
     full = wc.assemble_full(1, 2)
-    assert full.shape == (4, 4)
+    assert full.shape == (4, 4) and full.dtype == np.uint8
     assert wc.matrix_bandwidth(full) == 2
     assert wc.matrix_bandwidth(wc.assemble_full(5, 4)) == 15  # complete minus diagonal
     with pytest.raises(SizeCapError):
@@ -225,12 +225,12 @@ def test_assemble_full_small_and_caps():
 
 def test_assemble_full_equals_block_grid():
     for (t, n) in [(1, 3), (2, 4), (3, 5)]:
-        full = wc.assemble_full(t, n).bits
+        full = wc.assemble_full(t, n)
         sizes = [math.comb(n, k) for k in range(n + 1)]
         starts = np.cumsum([0] + sizes)
         for k in range(n + 1):
             for kp in range(n + 1):
-                block = wc.assemble_block(t, n, k, kp).bits
+                block = wc.assemble_block(t, n, k, kp)
                 view = full[starts[k] : starts[k + 1], starts[kp] : starts[kp + 1]]
                 assert np.array_equal(view, block), (t, n, k, kp)
                 if abs(k - kp) > t:
@@ -240,7 +240,7 @@ def test_assemble_full_equals_block_grid():
 def test_assemble_full_matches_graph_adjacency():
     for (t, n) in [(1, 3), (2, 4)]:
         g = graphs.gen_hamming(t, 2, n)
-        assert np.array_equal(wc.assemble_full(t, n).bits, g.adjacency_matrix(np.uint8))
+        assert np.array_equal(wc.assemble_full(t, n), g.adjacency_matrix(np.uint8))
 
 
 def test_radius_closed_examples():
@@ -288,7 +288,7 @@ def test_diagonal_radius_vs_bandwidth_relation():
         for t in range(1, n + 1):
             for k in range(n + 1):
                 block = wc.assemble_block(t, n, k, k)
-                if block.is_zero():
+                if not block.any():
                     continue
                 r = wc.manhattan_radius(block)
                 assert r == wc.matrix_bandwidth(block) + math.comb(n, k)
