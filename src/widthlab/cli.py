@@ -24,10 +24,12 @@ EXIT_USAGE = 2
 
 
 def _parse_range(text: str) -> range:
-    """'4' -> 4..4, '1:6' -> 1..6 (inclusive)."""
+    """'4' -> 4..4, '1:6' -> 1..6 (inclusive); an empty range such as '5:2' is refused."""
     if ":" in text:
-        lo, hi = text.split(":", 1)
-        return range(int(lo), int(hi) + 1)
+        lo, hi = map(int, text.split(":", 1))
+        if lo > hi:
+            raise argparse.ArgumentTypeError(f"range {text!r} is empty: {lo} > {hi}")
+        return range(lo, hi + 1)
     v = int(text)
     return range(v, v + 1)
 
@@ -83,7 +85,7 @@ def _cmd_bw(args) -> int:
             recursion = widthcalc.bw_recursion(t, n)
             line = f"t={t} n={n} closed={closed} recursion={recursion}"
             values = {closed, recursion}
-            if n <= min(args.cap, widthcalc.FULL_MATRIX_MAX_N):
+            if n <= widthcalc.FULL_MATRIX_MAX_N:
                 direct = widthcalc.matrix_bandwidth(widthcalc.assemble_full(t, n))
                 line += f" direct={direct}"
                 values.add(direct)
@@ -202,17 +204,17 @@ def _cmd_oracle(args) -> int:
         instance = f"{args.family} t={spec.t} q={spec.q} n={spec.n} k={spec.k}"
     what = args.what
     if what == "tw":
-        value, cert = oracles.exact_treewidth(g, cap=args.cap)
+        value, cert = oracles.exact_treewidth(g)
     elif what == "pw":
-        value, cert = oracles.exact_pathwidth(g, cap=args.cap)
+        value, cert = oracles.exact_pathwidth(g)
     elif what == "bw":
-        value, cert = oracles.exact_bandwidth(g, cap=min(args.cap, oracles.BW_CAP))
+        value, cert = oracles.exact_bandwidth(g)
     elif what == "bv":
-        table = oracles.bv_table(g, cap=min(args.cap, oracles.BV_CAP))
+        table = oracles.bv_table(g)
         value, cert = [int(x) for x in table], None
     elif what == "separator":
-        tw, _ = oracles.exact_treewidth(g, cap=args.cap)
-        found = oracles.min_balanced_separator(g, tw + 1, cap=min(args.cap, oracles.SEPARATOR_CAP))
+        tw, _ = oracles.exact_treewidth(g)
+        found = oracles.min_balanced_separator(g, tw + 1)
         value = len(found[0]) if found else None
         cert = found
     else:
@@ -230,7 +232,12 @@ def _cmd_suite(args) -> int:
         if "=" not in token:
             raise ParameterError(f"suite parameters look like name=value, got {token!r}")
         key, val = token.split("=", 1)
-        params[key] = int(val)
+        if key in params:
+            raise ParameterError(f"suite parameter {key!r} is given twice")
+        try:
+            params[key] = int(val)
+        except ValueError:
+            raise ParameterError(f"suite parameter {key!r} must be an integer, got {val!r}") from None
     config = suites.SuiteConfig(args.name, params=params, fmt=args.format, workers=args.workers)
     records = suites.run_suite(config)
     with _out_stream(args.out) as fh:
@@ -260,7 +267,6 @@ _FLAGS = {
     "n": dict(type=_parse_range, default=range(1, 2)),
     "k": dict(type=_parse_range, default=range(1, 2)),
     "s": dict(type=_parse_range, default=range(0, 1)),
-    "cap": dict(type=int, default=25),
     "format": dict(choices=("csv", "json"), default="csv"),
     "out": dict(default=None),
     "workers": dict(type=int, default=1),
@@ -283,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     command("gen", _cmd_gen, "emit a family member in PACE .gr form", "family", "t", "q", "n", "k", "out")
     command("hales", _cmd_hales, "print the global binary order as CSV", "n", "out")
-    command("bw", _cmd_bw, "closed/recursive/direct bandwidth values", "t", "n", "cap")
+    command("bw", _cmd_bw, "closed/recursive/direct bandwidth values", "t", "n")
     command("radius", _cmd_radius, "closed/recursive/direct block radii", "t", "n", "k", "s")
 
     p = command("decomp", _cmd_decomp, "build or validate path/tree decompositions", "n", "k", "mode", "out")
@@ -295,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("spectrum", _cmd_spectrum, "closed-form spectrum with a trace-moment check", "k", "out")
     p.add_argument("--p-max", type=int, default=6)
 
-    p = command("oracle", _cmd_oracle, "exact brute-force values with certificates", "family", "t", "q", "n", "k", "what", "cap", "out")
+    p = command("oracle", _cmd_oracle, "exact brute-force values with certificates", "family", "t", "q", "n", "k", "what", "out")
     p.add_argument("--gr", default=None, help="run on a .gr file instead of a family")
 
     p = command("suite", _cmd_suite, "run a named verification suite", "format", "out", "workers")

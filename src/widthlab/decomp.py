@@ -22,8 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import hales
 from .errors import ParameterError, ParseError, PreconditionError, StructuralError
-from .graphs import Graph, gen_bipartite_kneser, gen_hamming, gen_johnson
+from .graphs import FamilySpec, Graph, gen_bipartite_kneser, gen_hamming, gen_johnson
 
 __all__ = [
     "Decomposition",
@@ -303,7 +304,10 @@ def lift_pd(pd: Decomposition, t: int, n: int, q: int) -> Decomposition:
     Every bag vertex is replaced by the full preimage of the
     coordinatewise collapse f(a) = 0 iff a <= ceil(q/2); for even q each
     preimage has exactly (q/2)^n elements, so the width scales exactly.
-    The input must validate against the binary host graph.
+    The input must validate against the binary host graph. The q-ary
+    host is not built: a vertex id is its word's base-q code (digit
+    a - 1, first coordinate most significant), so a preimage is a
+    product of digit ranges.
     """
     if q < 2:
         raise ParameterError(f"q must be at least 2, got {q}")
@@ -311,16 +315,20 @@ def lift_pd(pd: Decomposition, t: int, n: int, q: int) -> Decomposition:
     report = validate_decomposition(base, pd)
     if not report.ok:
         raise PreconditionError(f"input decomposition is invalid: {report}")
-    lifted = gen_hamming(t, q, n)
+    FamilySpec("hamming", t=t, q=q, n=n).validate()
+    if q == 2:
+        return Decomposition(pd.flat.copy(), pd.offsets.copy(), pd.tree_edges)
     half = (q + 1) // 2
-    preimages = [[] for _ in range(base.num_vertices)]
-    for x in range(lifted.num_vertices):
-        word = lifted.labels[x]
-        binary = tuple(0 if a <= half else 1 for a in word) if q > 2 else word
-        preimages[base.index_of_label(binary)].append(x)
-    bags = [[x for v in map(int, bag) for x in preimages[v]] for bag in pd.bags()]
-    edges = None if pd.is_path else pd.tree_edges
-    return Decomposition.from_bags(bags, tree_edges=edges)
+    digits = (np.arange(half), np.arange(half, q))
+    preimages = []
+    for bits in hales.word_bits(hales.hales_order(n), n).tolist():
+        ids = np.zeros(1, dtype=np.int64)
+        for bit in bits:
+            ids = (ids[:, None] * q + digits[bit]).ravel()
+        preimages.append(ids)
+    parts = [preimages[v] for v in pd.flat.tolist()]
+    ends = np.cumsum([0] + [len(ids) for ids in parts])
+    return Decomposition(np.concatenate(parts), ends[pd.offsets], pd.tree_edges)
 
 
 # ----------------------------------------------------------------------

@@ -31,6 +31,8 @@ __all__ = [
     "verify_hales_property",
 ]
 
+PREFIX_CHECK_CAP = 16  # vertices; verify_hales_property refuses larger graphs
+
 
 def word_bits(rows: np.ndarray, n: int) -> np.ndarray:
     """uint8 0/1 matrix of length-n words: entry [i, j] is coordinate j+1 (bit j) of ``rows[i]``."""
@@ -88,7 +90,7 @@ class HalesReport:
     bv: tuple = ()
 
 
-def verify_hales_property(graph, limit: int = 16) -> HalesReport:
+def verify_hales_property(graph) -> HalesReport:
     """Check both prefix conditions of the graph's vertex order by brute force.
 
     The order is vertex 0, 1, ..., n-1. Condition 1: every prefix
@@ -96,15 +98,15 @@ def verify_hales_property(graph, limit: int = 16) -> HalesReport:
     Condition 2: the interior vertices of each prefix (those with no
     neighbor outside it) are exactly the lowest-numbered ones. The
     reference minima come from :func:`widthlab.oracles.bv_table`, never
-    from the formulas under test; graphs beyond ``limit`` vertices are
-    refused rather than sampled.
+    from the formulas under test; graphs beyond :data:`PREFIX_CHECK_CAP`
+    vertices are refused rather than sampled.
     """
     n = graph.num_vertices
-    if n > limit:
-        raise SizeCapError(f"exhaustive prefix check capped at {limit} vertices, graph has {n}")
+    if n > PREFIX_CHECK_CAP:
+        raise SizeCapError(f"exhaustive prefix check capped at {PREFIX_CHECK_CAP} vertices, graph has {n}")
     from . import oracles  # local import; oracles depends on graphs
 
-    bv = oracles.bv_table(graph, cap=limit)
+    bv = oracles.bv_table(graph)
     masks = graph.neighbor_masks()
     full = (1 << n) - 1
     prefix = 0

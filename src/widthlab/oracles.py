@@ -3,7 +3,10 @@
 Every oracle here enumerates or searches exhaustively and refuses
 oversized inputs with a hard error; nothing falls back to a heuristic.
 Subset dynamic programs run over all 2^n vertex subsets (bitmask
-state), so the caps are absolute. Tie-breaking is deterministic: the
+state), so the caps are absolute: each oracle checks its own fixed
+``*_CAP`` constant and no argument lifts it. The balanced-separator
+size comes from the boundary minima of :func:`bv_table`; only sets of
+that size are searched for a witness. Tie-breaking is deterministic: the
 treewidth and pathwidth orders are the lexicographically smallest ones
 achieving the optimum. The bandwidth order is the best breadth-first
 layout (lowest start vertex among the best) when that layout is
@@ -50,9 +53,9 @@ def _masks_u64(g: Graph) -> np.ndarray:
     return np.asarray(g.neighbor_masks(), dtype=np.uint64)
 
 
-def _check_cap(name: str, n: int, cap: int) -> None:
-    if n > cap:
-        raise SizeCapError(f"{name} is capped at {cap} vertices, got {n}")
+def _check_cap(name: str, n: int, most: int) -> None:
+    if n > most:
+        raise SizeCapError(f"{name} is capped at {most} vertices, got {n}")
 
 
 def _elim_degree(masks, s: int, v: int) -> int:
@@ -71,7 +74,18 @@ def _elim_degree(masks, s: int, v: int) -> int:
     return (reach & ~(s | (1 << v))).bit_count()
 
 
-def exact_treewidth(g: Graph, cap: int = TW_CAP):
+def _greedy_order(n: int, fits) -> list:
+    """Lexicographically smallest order taking at each step the first unplaced v with ``fits(placed_mask, v)``."""
+    order = []
+    placed = 0
+    for _ in range(n):
+        v = next(v for v in range(n) if not (placed >> v) & 1 and fits(placed, v))
+        order.append(v)
+        placed |= 1 << v
+    return order
+
+
+def exact_treewidth(g: Graph):
     """Exact treewidth via the eliminated-set subset DP.
 
     Returns ``(tw, order)`` where eliminating along ``order`` keeps
@@ -79,52 +93,29 @@ def exact_treewidth(g: Graph, cap: int = TW_CAP):
     order certifies the value).
     """
     n = g.num_vertices
-    _check_cap("exact treewidth", n, cap)
+    _check_cap("exact treewidth", n, TW_CAP)
     if n == 0:
         raise ParameterError("treewidth of the empty graph is undefined")
     table = _kernels.elim_table(_masks_u64(g), n)
     width = int(table[0])
     masks = g.neighbor_masks()
-    order = []
-    s = 0
-    for _ in range(n):
-        for v in range(n):
-            bit = 1 << v
-            if s & bit:
-                continue
-            if max(_elim_degree(masks, s, v), int(table[s | bit])) <= width:
-                order.append(v)
-                s |= bit
-                break
-    return width, order
+    return width, _greedy_order(n, lambda s, v: int(table[s | 1 << v]) <= width and _elim_degree(masks, s, v) <= width)
 
 
-def exact_pathwidth(g: Graph, cap: int = PW_CAP):
+def exact_pathwidth(g: Graph):
     """Exact pathwidth as the vertex separation number, by subset DP.
 
     Returns ``(pw, order)``: placing vertices in ``order`` keeps every
     prefix's inner boundary at most ``pw``.
     """
     n = g.num_vertices
-    _check_cap("exact pathwidth", n, cap)
+    _check_cap("exact pathwidth", n, PW_CAP)
     if n == 0:
         raise ParameterError("pathwidth of the empty graph is undefined")
     boundary = _kernels.boundary_table(_masks_u64(g), n)
     table = _kernels.sep_table(boundary, n)
     width = int(table[0])
-    order = []
-    s = 0
-    for _ in range(n):
-        for v in range(n):
-            bit = 1 << v
-            if s & bit:
-                continue
-            nxt = s | bit
-            if max(int(boundary[nxt]), int(table[nxt])) <= width:
-                order.append(v)
-                s = nxt
-                break
-    return width, order
+    return width, _greedy_order(n, lambda s, v: max(int(boundary[s | 1 << v]), int(table[s | 1 << v])) <= width)
 
 
 def _order_bandwidth(masks, order) -> int:
@@ -200,7 +191,7 @@ def _first_layout(dist, n: int, b: int):
     return layout if dfs(0, 0, [n - 1] * n) else None
 
 
-def exact_bandwidth(g: Graph, cap: int = BW_CAP):
+def exact_bandwidth(g: Graph):
     """Exact bandwidth by iterative deepening over layout widths.
 
     The incumbent is the best BFS layout over all start vertices. Each
@@ -212,7 +203,7 @@ def exact_bandwidth(g: Graph, cap: int = BW_CAP):
     Returns ``(bw, order)``.
     """
     n = g.num_vertices
-    _check_cap("exact bandwidth", n, cap)
+    _check_cap("exact bandwidth", n, BW_CAP)
     if n == 0:
         raise ParameterError("bandwidth of the empty graph is undefined")
     masks = g.neighbor_masks()
@@ -247,75 +238,65 @@ def exact_bandwidth(g: Graph, cap: int = BW_CAP):
     return best, best_order
 
 
-def bv_table(g: Graph, cap: int = BV_CAP) -> np.ndarray:
+def bv_table(g: Graph) -> np.ndarray:
     """Minimum outer boundary per subset size, exhaustive over all 2^n subsets."""
     n = g.num_vertices
-    _check_cap("exhaustive boundary minimization", n, cap)
+    _check_cap("exhaustive boundary minimization", n, BV_CAP)
     return _kernels.bv_table(_masks_u64(g), n)
 
 
-def min_balanced_separator(g: Graph, size_cap: int, cap: int = SEPARATOR_CAP):
+def min_balanced_separator(g: Graph, size_cap: int):
     """Smallest separator X splitting the rest into parts of at most 2/3 each.
 
-    Exhaustive over all candidate sets of size <= size_cap, smallest
-    first; within one size the lexicographically first separator wins.
-    Returns ``(X, A, B)`` with no edge between A and B, or None.
+    Its size is min over a of s(a) = max(b_v(a), n - 3a), over the a
+    with 3a <= 2(n - s(a)): a best a-set is cut off by its boundary
+    padded to s(a) vertices, and no separator with a side of size a is
+    smaller. Among the sets of that size the lexicographically first
+    separator wins. Returns ``(X, A, B)`` with no edge between A and B,
+    or None when that size exceeds size_cap.
     """
     n = g.num_vertices
-    _check_cap("balanced separator search", n, cap)
+    _check_cap("balanced separator search", n, SEPARATOR_CAP)
+    sizes = [max(boundary, n - 3 * a) for a, boundary in enumerate(bv_table(g).tolist())]
+    size = min(s for a, s in enumerate(sizes) if 3 * a <= 2 * (n - s))  # a = 0 always qualifies
+    if size > size_cap:
+        return None
     masks = g.neighbor_masks()
     full = (1 << n) - 1
-    for size in range(0, min(size_cap, n) + 1):
-        for xs in combinations(range(n), size):
-            xmask = 0
-            for v in xs:
-                xmask |= 1 << v
-            rest = full & ~xmask
-            m = rest.bit_count()
-            comps = []
-            rem = rest
-            while rem:
-                seed = rem & -rem
-                comp = seed
-                stack = seed
-                while stack:
-                    b = stack & -stack
-                    stack ^= b
-                    grow = masks[b.bit_length() - 1] & rest & ~comp
-                    comp |= grow
-                    stack |= grow
-                comps.append(comp)
-                rem &= ~comp
-            sizes = [c.bit_count() for c in comps]
-            # subset-sum over component sizes: need a part size a with
-            # m <= 3a <= 2m; reconstruct the chosen components
-            reachable = {0: None}
-            for idx, csz in enumerate(sizes):
-                nxt = dict(reachable)
-                for total, _ in reachable.items():
-                    if total + csz not in nxt:
-                        nxt[total + csz] = (total, idx)
-                reachable = nxt
-            choice = None
-            for total, parent in reachable.items():
-                if 3 * total >= m and 3 * total <= 2 * m:
-                    choice = total
-                    break
-            if choice is None:
-                continue
-            amask = 0
-            cur = choice
-            while reachable[cur] is not None:
-                prev, idx = reachable[cur]
-                amask |= comps[idx]
-                cur = prev
-            bmask = rest & ~amask
-            to_list = lambda mm: [v for v in range(n) if (mm >> v) & 1]
-            return to_list(xmask), to_list(amask), to_list(bmask)
-    return None
+    for xs in combinations(range(n), size):
+        xmask = sum(1 << v for v in xs)
+        rest = full & ~xmask
+        m = rest.bit_count()
+        comps = []
+        rem = rest
+        while rem:
+            seed = rem & -rem
+            comp = seed
+            stack = seed
+            while stack:
+                b = stack & -stack
+                stack ^= b
+                grow = masks[b.bit_length() - 1] & rest & ~comp
+                comp |= grow
+                stack |= grow
+            comps.append(comp)
+            rem &= ~comp
+        # subset-sum over component sizes: the union of components
+        # that first reaches each part size a; need m <= 3a <= 2m
+        reachable = {0: 0}
+        for comp in comps:
+            for total, amask in list(reachable.items()):
+                reachable.setdefault(total + comp.bit_count(), amask | comp)
+        amask = next((amask for total, amask in reachable.items() if m <= 3 * total <= 2 * m), None)
+        if amask is None:
+            continue
+        bmask = rest & ~amask
+        to_list = lambda mm: [v for v in range(n) if (mm >> v) & 1]
+        return to_list(xmask), to_list(amask), to_list(bmask)
+    raise AssertionError(f"no balanced separator of the size {size} that the boundary minima give")
 
 
-def max_cross_intersecting_sum(n: int, k: int, cap: int = CROSS_CAP) -> int:
+def max_cross_intersecting_sum(n: int, k: int) -> int:
     """Max |A| + |C| over nonempty cross-intersecting pairs of k-subset families.
 
     For a fixed family A the largest partner C is forced (all k-subsets
@@ -324,8 +305,8 @@ def max_cross_intersecting_sum(n: int, k: int, cap: int = CROSS_CAP) -> int:
     """
     subsets = slice_order(n, k).tolist()
     m = len(subsets)
-    if m > cap:
-        raise SizeCapError(f"cross-intersecting scan capped at {cap} subsets, got {m}")
+    if m > CROSS_CAP:
+        raise SizeCapError(f"cross-intersecting scan capped at {CROSS_CAP} subsets, got {m}")
     disjoint = np.zeros(m, dtype=np.uint32)
     for i, a in enumerate(subsets):
         mask = 0
@@ -392,7 +373,7 @@ def bipartite_perfect_matching(g: Graph):
     return sorted((v, u) for u, v in match.items())
 
 
-def exact_transversal(hypergraph, cap: int = TRANSVERSAL_CAP) -> int:
+def exact_transversal(hypergraph) -> int:
     """Minimum hitting-set size by branch and bound on uncovered edges.
 
     Accepts any object with an ``edges`` attribute (iterable of vertex
@@ -406,9 +387,9 @@ def exact_transversal(hypergraph, cap: int = TRANSVERSAL_CAP) -> int:
     if not edges:
         return 0
     vertices = set().union(*edges)
-    if len(edges) > cap and len(vertices) > cap:
+    if len(edges) > TRANSVERSAL_CAP and len(vertices) > TRANSVERSAL_CAP:
         raise SizeCapError(
-            f"transversal search capped at {cap} vertices or {cap} edges, "
+            f"transversal search capped at {TRANSVERSAL_CAP} vertices or {TRANSVERSAL_CAP} edges, "
             f"got {len(vertices)} and {len(edges)}"
         )
 

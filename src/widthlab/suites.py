@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from fractions import Fraction
 
-from . import bounds, decomp, graphs, oracles, widthcalc
+from . import bounds, decomp, graphs, hales, oracles, widthcalc
 from .errors import ParameterError
 
 __all__ = [
@@ -154,13 +154,11 @@ def _job_gap_maximizer(n_max: int) -> list:
 
 
 def _job_hales(t: int, n: int) -> list:
-    from . import hales as hales_mod
-
     recs = []
     g = graphs.gen_hamming(t, 2, n)
-    hales_report = hales_mod.verify_hales_property(g, limit=16)
+    hales_report = hales.verify_hales_property(g)
     recs.append(_rec_cmp(f"hales t={t} n={n} prefix_conditions", hales_report.ok, "ok" if hales_report.ok else f"violation at prefix {hales_report.first_violation}", "ok"))
-    bv = oracles.bv_table(g)
+    bv = hales_report.bv
     recs.append(_rec(f"hales t={t} n={n} max_bv_vs_bw", int(max(bv[1:])), widthcalc.bw_closed(t, n)))
     pw, _ = oracles.exact_pathwidth(g)
     recs.append(_rec_cmp(f"hales t={t} n={n} pw_dominates_bv", all(pw >= int(bv[s]) for s in range(1, g.num_vertices + 1)), "pw >= b_v(s) for all s", "pw >= b_v(s) for all s"))
@@ -381,13 +379,12 @@ def _job_consistency(name: str) -> list:
     tw, _ = oracles.exact_treewidth(g)
     pw, _ = oracles.exact_pathwidth(g)
     recs.append(_rec_cmp(f"consistency {name} tw_le_pw", tw <= pw, f"tw={tw} <= pw={pw}", "tw <= pw"))
-    if g.num_vertices <= oracles.BW_CAP:
+    bv = oracles.bv_table(g) if g.num_vertices <= oracles.BV_CAP else None
+    if g.num_vertices <= oracles.BW_CAP:  # below BV_CAP, so bv is set
         bw, _ = oracles.exact_bandwidth(g)
         recs.append(_rec_cmp(f"consistency {name} pw_le_bw", pw <= bw, f"pw={pw} <= bw={bw}", "pw <= bw"))
-        bv = oracles.bv_table(g)
         recs.append(_rec_cmp(f"consistency {name} maxbv_le_bw", int(max(bv[1:])) <= bw, f"max b_v={int(max(bv[1:]))} <= bw={bw}", "max b_v <= bw"))
-    if g.num_vertices <= oracles.BV_CAP:
-        bv = oracles.bv_table(g)
+    if bv is not None:
         recs.append(_rec_cmp(f"consistency {name} pw_ge_bv", all(pw >= int(bv[s]) for s in range(1, g.num_vertices + 1)), "pw >= b_v(s) for all s", "pw >= b_v(s) for all s"))
         quarter = [int(bv[s]) for s in range(math.ceil(g.num_vertices / 4), g.num_vertices // 2 + 1)]
         if quarter:

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from widthlab import cli, decomp, graphs, suites
+from widthlab import cli, decomp, graphs, oracles, suites
 from widthlab.errors import InfeasibleError, PreconditionError, UndefinedValueError
 
 
@@ -65,6 +65,27 @@ def test_flag_a_subcommand_ignores_is_usage_error(tmp_path):
     assert not (tmp_path / "f").exists()
 
 
+def test_empty_range_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as err:
+        run(["bw", "--t", "1", "--n", "5:2"])
+    assert err.value.code == 2
+    printed = capsys.readouterr()
+    assert printed.out == "" and "5:2" in printed.err
+
+
+def test_no_flag_lifts_a_size_cap(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a subset DP started")
+
+    monkeypatch.setattr(oracles._kernels, "elim_table", refuse)
+    petersen = ["oracle", "--family", "petersen", "--n", "13", "--k", "2", "--what", "tw"]
+    assert run(petersen) == 2  # 26 vertices are over TW_CAP = 25
+    for argv in (petersen + ["--cap", "26"], ["bw", "--t", "1", "--n", "3", "--cap", "6"]):
+        with pytest.raises(SystemExit) as err:
+            run(argv)
+        assert err.value.code == 2
+
+
 @pytest.mark.parametrize("error", [PreconditionError, UndefinedValueError, InfeasibleError])
 def test_raised_error_is_usage_error(monkeypatch, capsys, error):
     # a raised error refuses the input; exit 1 is left to identity failures
@@ -94,7 +115,7 @@ def test_hales_above_vertex_cap_writes_nothing(tmp_path, capsys):
 
 
 def test_bw_agreement(capsys):
-    assert run(["bw", "--t", "1:3", "--n", "2:5", "--cap", "6"]) == 0
+    assert run(["bw", "--t", "1:3", "--n", "2:5"]) == 0
     out = capsys.readouterr().out
     assert "agree=True" in out and "agree=False" not in out
 
@@ -226,6 +247,15 @@ def test_suite_petersen_flags_known_gaps(tmp_path):
 
 def test_suite_unknown_parameter_rejected(tmp_path):
     assert run(["suite", "--name", "limits", "--param", "bogus=3"]) == 2
+
+
+@pytest.mark.parametrize("params", [["k_lo=abc"], ["k_lo=8", "k_lo=9"]])
+def test_suite_malformed_parameter_rejected(params, capsys):
+    argv = ["suite", "--name", "limits"]
+    for token in params:
+        argv += ["--param", token]
+    assert run(argv) == 2
+    assert capsys.readouterr().err.startswith("error: suite parameter 'k_lo'")
 
 
 def test_suite_report_deterministic(tmp_path):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from widthlab import decomp, graphs, oracles, widthcalc
 from widthlab.decomp import Decomposition, DecompositionReport
-from widthlab.errors import ParameterError, ParseError, PreconditionError, StructuralError
+from widthlab.errors import ParameterError, ParseError, PreconditionError, SizeCapError, StructuralError
 
 # ----------------------------------------------------------------------
 # reference validator: the interval route for paths, python sets for
@@ -381,6 +381,59 @@ def test_lift_rejects_invalid_input():
     bad = Decomposition.from_bags([[0], [3]])
     with pytest.raises(PreconditionError):
         decomp.lift_pd(bad, 1, 2, 4)
+
+
+def _lift_pd_reference(pd, t, n, q):
+    """The lift that builds the q-ary host to read its labels (the one lift_pd replaced)."""
+    if q < 2:
+        raise ParameterError(f"q must be at least 2, got {q}")
+    base = graphs.gen_hamming(t, 2, n)
+    report = decomp.validate_decomposition(base, pd)
+    if not report.ok:
+        raise PreconditionError(f"input decomposition is invalid: {report}")
+    lifted = graphs.gen_hamming(t, q, n)
+    half = (q + 1) // 2
+    preimages = [[] for _ in range(base.num_vertices)]
+    for x in range(lifted.num_vertices):
+        word = lifted.labels[x]
+        binary = tuple(0 if a <= half else 1 for a in word) if q > 2 else word
+        preimages[base.index_of_label(binary)].append(x)
+    bags = [[x for v in map(int, bag) for x in preimages[v]] for bag in pd.bags()]
+    edges = None if pd.is_path else pd.tree_edges
+    return Decomposition.from_bags(bags, tree_edges=edges)
+
+
+def _windows(t, n):
+    b = widthcalc.bw_closed(t, n)
+    return Decomposition.from_bags([range(i, i + b + 1) for i in range(2**n - b)])
+
+
+_LIFT_CASES = [
+    (Decomposition.from_bags([[0, 1]]), 1, 1),
+    (Decomposition.from_bags([[0, 1, 2], [1, 2, 3]]), 1, 2),
+    (_windows(1, 6), 1, 6),
+    (_windows(2, 5), 2, 5),
+    (_windows(1, 5), 1, 5),
+    (_windows(3, 4), 3, 4),
+    (decomp.independent_set_td(graphs.gen_hamming(1, 2, 3), [0, 7]), 1, 3),  # a tree shape
+]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("d, t, n", _LIFT_CASES)
+def test_lift_matches_reference(d, t, n, q):
+    new, ref = decomp.lift_pd(d, t, n, q), _lift_pd_reference(d, t, n, q)
+    assert new.flat.tolist() == ref.flat.tolist()
+    assert new.offsets.tolist() == ref.offsets.tolist()
+    assert new.is_path == ref.is_path
+    if not new.is_path:
+        assert new.tree_edges.tolist() == ref.tree_edges.tolist()
+
+
+def test_lift_keeps_the_vertex_cap():
+    # 16^5 = 2^20 words sit at graphs.MAX_VERTICES; 17^5 is over it
+    with pytest.raises(SizeCapError):
+        decomp.lift_pd(_windows(1, 5), 1, 5, 17)
 
 
 def test_fillin_square():

@@ -131,7 +131,7 @@ def test_prefix_checker_uses_exhaustive_minimum():
 def test_size_cap():
     g = graphs.gen_hamming(1, 2, 5)
     with pytest.raises(SizeCapError):
-        hales.verify_hales_property(g, limit=16)
+        hales.verify_hales_property(g)
 
 
 def test_slice_word_width_cap():

@@ -295,6 +295,8 @@ def test_treewidth_disconnected():
 
 @settings(max_examples=15, deadline=None)
 @given(small_graphs)
+# a greedy by elimination degree alone, without the DP table, gets stuck here
+@example(graphs.Graph(7, [(0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (1, 2), (1, 3), (1, 5), (2, 4), (3, 4), (4, 5), (5, 6)]))
 def test_treewidth_order_is_lexicographically_smallest_optimum(g):
     tw, order = oracles.exact_treewidth(g)
     best = min(
@@ -306,6 +308,8 @@ def test_treewidth_order_is_lexicographically_smallest_optimum(g):
 
 @settings(max_examples=15, deadline=None)
 @given(small_graphs)
+# a greedy by prefix boundary alone, without the DP table, gets stuck here
+@example(graphs.Graph(6, [(0, 2), (0, 3), (1, 4), (1, 5), (2, 3), (2, 5), (3, 5), (4, 5)]))
 def test_pathwidth_order_is_lexicographically_smallest_optimum(g):
     pw, order = oracles.exact_pathwidth(g)
     best = min(
@@ -405,3 +409,97 @@ def test_bandwidth_matches_reference_on_zoo(g):
 ]))
 def test_bandwidth_matches_reference(g):
     assert oracles.exact_bandwidth(g) == _exact_bandwidth_reference(g)
+
+
+# ----------------------------------------------------------------------
+# balanced separator: one size from the boundary minima against the
+# size-by-size search it replaced
+# ----------------------------------------------------------------------
+
+
+def _min_balanced_separator_reference(g, size_cap, cap=oracles.SEPARATOR_CAP):
+    """Smallest separator X splitting the rest into parts of at most 2/3 each.
+
+    Exhaustive over all candidate sets of size <= size_cap, smallest
+    first; within one size the lexicographically first separator wins.
+    Returns ``(X, A, B)`` with no edge between A and B, or None.
+    """
+    n = g.num_vertices
+    oracles._check_cap("balanced separator search", n, cap)
+    masks = g.neighbor_masks()
+    full = (1 << n) - 1
+    for size in range(0, min(size_cap, n) + 1):
+        for xs in itertools.combinations(range(n), size):
+            xmask = 0
+            for v in xs:
+                xmask |= 1 << v
+            rest = full & ~xmask
+            m = rest.bit_count()
+            comps = []
+            rem = rest
+            while rem:
+                seed = rem & -rem
+                comp = seed
+                stack = seed
+                while stack:
+                    b = stack & -stack
+                    stack ^= b
+                    grow = masks[b.bit_length() - 1] & rest & ~comp
+                    comp |= grow
+                    stack |= grow
+                comps.append(comp)
+                rem &= ~comp
+            sizes = [c.bit_count() for c in comps]
+            # subset-sum over component sizes: need a part size a with
+            # m <= 3a <= 2m; reconstruct the chosen components
+            reachable = {0: None}
+            for idx, csz in enumerate(sizes):
+                nxt = dict(reachable)
+                for total, _ in reachable.items():
+                    if total + csz not in nxt:
+                        nxt[total + csz] = (total, idx)
+                reachable = nxt
+            choice = None
+            for total, parent in reachable.items():
+                if 3 * total >= m and 3 * total <= 2 * m:
+                    choice = total
+                    break
+            if choice is None:
+                continue
+            amask = 0
+            cur = choice
+            while reachable[cur] is not None:
+                prev, idx = reachable[cur]
+                amask |= comps[idx]
+                cur = prev
+            bmask = rest & ~amask
+            to_list = lambda mm: [v for v in range(n) if (mm >> v) & 1]
+            return to_list(xmask), to_list(amask), to_list(bmask)
+    return None
+
+
+SEPARATOR_ZOO = {name: g for name, build in suites._ZOO for g in [build()] if g.num_vertices <= oracles.SEPARATOR_CAP}
+
+
+@pytest.mark.parametrize("g", SEPARATOR_ZOO.values(), ids=SEPARATOR_ZOO.keys())
+def test_balanced_separator_matches_reference_on_zoo(g):
+    # The reference tries sizes 0..min(size_cap, n) in turn, so at a
+    # size_cap below the size it finds at size_cap = n it returns None
+    # (it runs a prefix of the same loop); one full call gives every cap.
+    n = g.num_vertices
+    found = _min_balanced_separator_reference(g, n)
+    for size_cap in range(n + 1):
+        expected = found if len(found[0]) <= size_cap else None
+        assert oracles.min_balanced_separator(g, size_cap) == expected, size_cap
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.tuples(st.integers(2, 11), st.lists(st.integers(0, 54), max_size=30)).map(
+    lambda args: _random_graph(*args)
+))
+@example(graphs.Graph(0, []))
+@example(graphs.Graph(1, []))
+@example(graphs.Graph(9, []))  # edgeless
+def test_balanced_separator_matches_reference(g):
+    for size_cap in range(-1, g.num_vertices + 2):
+        assert oracles.min_balanced_separator(g, size_cap) == _min_balanced_separator_reference(g, size_cap), size_cap
