@@ -5,8 +5,17 @@ t+1 consecutive outer vertices plus the t+1 inner vertices reachable by
 skip steps from the window's end, with t = ceil(n / (2k+2)). A bramble
 is validated on python int bitmasks, one per set and one per vertex
 neighbourhood, so its host graph is capped at ``BITSET_MAX_VERTICES``
-(4096) vertices. Claimed spectra are checked against integer trace
-moments in exact arithmetic rather than by floating point eigensolvers.
+(4096) vertices. A bramble that carries a claimed rotation (as the
+window bramble does) is validated once per orbit: the rotation must be
+a permutation of the vertex ids that maps the edge set onto itself, the
+sets must have one size, and it must map set i onto set i+1 (mod the
+number of sets). Then set 0 connected makes every set connected, and
+touching depends only on j - i, so set 0 against every other set gives
+the same report as the scan over all pairs. A failed symmetry check
+raises :class:`StructuralError` rather than falling back to that scan,
+which stays the route for sets without a rotation. Claimed spectra are
+checked against integer trace moments in exact arithmetic rather than
+by floating point eigensolvers.
 The moment match is only a necessary condition, not a certificate:
 the false BK(7,3) spectrum ((4,1),(3,5),(2,20),(0,15),(-1,9),(-2,10),
 (-3,10)) matches the first four moments (ROADMAP item 3, an exact
@@ -15,13 +24,14 @@ spectrum certificate).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import HypothesisError, ParameterError, PreconditionError, SizeCapError
+from .errors import HypothesisError, ParameterError, PreconditionError, SizeCapError, StructuralError
 from .graphs import Graph
 from .widthcalc import binom_ext
 
@@ -49,9 +59,15 @@ SPECTRUM_CAP = 400
 
 @dataclass(frozen=True)
 class Bramble:
-    """Family of vertex sets over a host graph, candidates for pairwise touching."""
+    """Family of vertex sets over a host graph, candidates for pairwise touching.
+
+    ``rotation``, when given, claims a host automorphism (``rotation[v]``
+    is the image of vertex v) that maps set i onto set i+1, indices mod
+    the number of sets; :func:`validate_bramble` checks the claim.
+    """
 
     sets: tuple  # tuple of frozensets of vertex ids
+    rotation: tuple | None = None  # vertex permutation, or None
 
 
 @dataclass(frozen=True)
@@ -91,12 +107,37 @@ def petersen_bramble(n: int, k: int) -> Bramble:
     if not (k >= 1 and 2 * k < n):
         raise ParameterError(f"need 1 <= k < n/2, got n={n} k={k}")
     t = -(-n // (2 * k + 2))
-    sets = []
-    for i in range(1, n + 1):
-        members = {(j - 1) % n for j in range(i, i + t + 1)}
-        members |= {n + (i + t + j * k - 1) % n for j in range(t + 1)}
-        sets.append(frozenset(members))
-    return Bramble(tuple(sets))
+    i, j = np.arange(n)[:, None], np.arange(t + 1)
+    rows = np.concatenate([(i + j) % n, n + (i + t + j * k) % n], axis=1)  # 0-based start i
+    step = (np.arange(n) + 1) % n  # rho: v_j -> v_{j+1}, u_j -> u_{j+1}
+    # one row at a time, through set() so each frozenset is sized from a known
+    # count: half the table of one grown from a list
+    sets = tuple(frozenset(set(row.tolist())) for row in rows)
+    return Bramble(sets, rotation=tuple(np.concatenate([step, n + step]).tolist()))
+
+
+def _mask_and_closure(s, n: int, nbrs: list, single: list) -> tuple:
+    """The set as an int bitmask, and the set ORed with its members' neighbourhoods."""
+    bits = closure = 0
+    for v in s:
+        if not 0 <= v < n:
+            raise ParameterError("vertex id out of range")
+        bits |= single[v]
+        closure |= nbrs[v]
+    return bits, bits | closure
+
+
+def _connected(bits: int, nbrs: list) -> bool:
+    """Whether the set bitmask is non-empty and induces a connected subgraph."""
+    stack = bits & -bits  # flood from the lowest member
+    rest = bits ^ stack  # members not reached yet
+    while stack:
+        b = stack & -stack
+        stack ^= b
+        grow = nbrs[b.bit_length() - 1] & rest
+        rest ^= grow
+        stack |= grow
+    return bool(bits) and not rest
 
 
 def validate_bramble(g: Graph, bramble: Bramble) -> BrambleReport:
@@ -107,35 +148,69 @@ def validate_bramble(g: Graph, bramble: Bramble) -> BrambleReport:
     capped at ``BITSET_MAX_VERTICES`` vertices
     (:meth:`Graph.neighbor_masks`). Touching means intersecting or
     joined by an edge: set j meets the closure of set i (the set plus
-    its neighbourhood). An empty set is disconnected.
+    its neighbourhood). An empty set is disconnected. A bramble with a
+    rotation takes the orbit route (module docstring), which returns the
+    same report and raises :class:`StructuralError` if the claimed
+    symmetry does not hold.
     """
     n, nbrs = g.num_vertices, g.neighbor_masks()
     single = [1 << v for v in range(n)]  # looked up, not shifted, so numpy ids stay exact
+    if bramble.rotation is not None:
+        return _validate_orbit(g, bramble, nbrs, single)
     masks, closures = [], []
     for s in bramble.sets:
-        bits = closure = 0
-        for v in s:
-            if not 0 <= v < n:
-                raise ParameterError("vertex id out of range")
-            bits |= single[v]
-            closure |= nbrs[v]
+        bits, closure = _mask_and_closure(s, n, nbrs, single)
         masks.append(bits)
-        closures.append(bits | closure)
+        closures.append(closure)
     for i, bits in enumerate(masks):
-        stack = bits & -bits  # flood from the lowest member
-        rest = bits ^ stack  # members not reached yet
-        while stack:
-            b = stack & -stack
-            stack ^= b
-            grow = nbrs[b.bit_length() - 1] & rest
-            rest ^= grow
-            stack |= grow
-        if not bits or rest:
+        if not _connected(bits, nbrs):
             return BrambleReport(False, first_disconnected=i)
     for i, closure in enumerate(closures):
         for j in range(i + 1, len(masks)):
             if not closure & masks[j]:
                 return BrambleReport(False, first_nontouching=(i, j))
+    return BrambleReport(True)
+
+
+def _validate_orbit(g: Graph, bramble: Bramble, nbrs: list, single: list) -> BrambleReport:
+    """:func:`validate_bramble` for a family that is one orbit of its rotation.
+
+    Checks that the rotation is a permutation, maps the edge set onto
+    itself and maps set i onto set i+1 (mod m), then floods set 0 and
+    tests its closure against sets 1..m-1: S_i and S_j touch exactly when
+    S_0 and S_{j-i} do, so the first failing pair of the full scan is
+    (0, least failing j).
+    """
+    n, sets = g.num_vertices, bramble.sets
+    rho = np.array(bramble.rotation)
+    if rho.shape != (n,) or (n and rho.dtype.kind not in "iu") or not np.array_equal(np.sort(rho), np.arange(n)):
+        raise StructuralError("claimed rotation is not a permutation of the vertex ids")
+    rho = rho.astype(np.int64)
+    image = rho[g.edges]
+    keys = np.sort(image.min(axis=1) * n + image.max(axis=1))
+    if not np.array_equal(keys, g.edges[:, 0] * n + g.edges[:, 1]):  # g.edges holds sorted distinct (lo, hi)
+        raise StructuralError("claimed rotation does not map the edge set onto itself")
+    if not sets:
+        return BrambleReport(True)
+    size = len(sets[0])
+    if any(len(s) != size for s in sets):
+        raise StructuralError("orbit sets differ in size")
+    rows = np.fromiter(itertools.chain.from_iterable(sets), dtype=np.int64, count=len(sets) * size)
+    rows = rows.reshape(len(sets), size)
+    if rows.size and (rows.min() < 0 or rows.max() >= n):
+        raise ParameterError("vertex id out of range")
+    rows.sort(axis=1)
+    image = rho[rows]
+    image.sort(axis=1)
+    if not (np.array_equal(image[:-1], rows[1:]) and np.array_equal(image[-1], rows[0])):
+        raise StructuralError("claimed rotation does not map set i onto set i+1")
+    bits, closure = _mask_and_closure(sets[0], n, nbrs, single)
+    if not _connected(bits, nbrs):
+        return BrambleReport(False, first_disconnected=0)
+    inside = np.unpackbits(np.frombuffer(closure.to_bytes(-(-n // 8), "little"), np.uint8), bitorder="little")[:n]
+    missed = np.flatnonzero(~inside.astype(bool)[rows[1:]].any(axis=1))
+    if missed.size:
+        return BrambleReport(False, first_nontouching=(0, int(missed[0]) + 1))
     return BrambleReport(True)
 
 

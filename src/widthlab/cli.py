@@ -70,10 +70,11 @@ def _cmd_hales(args) -> int:
     n = _single(args.n, "n")
     if n >= graphs.MAX_VERTICES.bit_length():
         raise SizeCapError(f"hales --n {n} asks for 2^{n} words, above the cap of {graphs.MAX_VERTICES}")
-    vectors = hales.word_bits(hales.hales_order(n), n).tolist()
+    # one n-byte ASCII string of digits per word, straight from the bit matrix
+    digits = (hales.word_bits(hales.hales_order(n), n) + ord("0")).view(f"S{n}").ravel().tolist()
     with _out_stream(args.out) as fh:
         fh.write("rank,vector\n")
-        fh.writelines(f"{i},{''.join(map(str, vec))}\n" for i, vec in enumerate(vectors, start=1))
+        fh.writelines(f"{i},{word.decode()}\n" for i, word in enumerate(digits, start=1))
     return EXIT_OK
 
 

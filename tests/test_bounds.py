@@ -1,5 +1,6 @@
 """Brambles, transversal fractions, and integer-certified spectra."""
 
+import dataclasses
 import functools
 import itertools
 import math
@@ -11,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from widthlab import bounds, graphs, oracles
-from widthlab.errors import HypothesisError, ParameterError, PreconditionError, SizeCapError
+from widthlab.errors import HypothesisError, ParameterError, PreconditionError, SizeCapError, StructuralError
 
 # ----------------------------------------------------------------------
 # reference bramble validator: packed uint64 rows, numpy closure and
@@ -142,6 +143,8 @@ def test_bramble_shape_small():
     b = bounds.petersen_bramble(5, 2)
     assert len(b.sets) == 5
     assert all(len(s) == 4 for s in b.sets)  # t = 1, sizes 2t+2
+    assert b.sets[0] == {0, 1, 6, 8}  # v_1, v_2 and u_2, u_4
+    assert b.rotation == _rotation(5)
 
 
 def test_bramble_shape_large():
@@ -163,7 +166,9 @@ def test_bramble_known_failures_small_grid():
     for k in range(1, 5):
         for n in range(2 * k + 2, 61):
             g = graphs.gen_petersen(n, k)
-            report = bounds.validate_bramble(g, bounds.petersen_bramble(n, k))
+            bramble = bounds.petersen_bramble(n, k)
+            report = bounds.validate_bramble(g, bramble)  # the orbit route
+            assert report == bounds.validate_bramble(g, dataclasses.replace(bramble, rotation=None)), (n, k)
             if not report.ok:
                 assert report.first_nontouching is not None
                 fails.append((n, k))
@@ -215,6 +220,104 @@ _P52 = graphs.gen_petersen(5, 2)
 def test_bramble_validator_matches_reference(case):
     g, bramble = case
     assert bounds.validate_bramble(g, bramble) == _validate_bramble_ref(g, bramble)
+
+
+def _rotation(n):
+    """rho: v_j -> v_{j+1}, u_j -> u_{j+1} on the ids of gen_petersen(n, k)."""
+    step = [(v + 1) % n for v in range(n)]
+    return tuple(step + [n + v for v in step])
+
+
+def _orbit(seed, perm, m):
+    """seed and its images under perm, m sets in all."""
+    sets = [frozenset(seed)]
+    for _ in range(m - 1):
+        sets.append(frozenset(perm[v] for v in sets[-1]))
+    return tuple(sets)
+
+
+@st.composite
+def orbit_cases(draw):
+    """gen_petersen(n, k), rho and an orbit of m sets, m dividing n.
+
+    Set 0 is an arbitrary or a grown connected set, joined with its
+    images under rho^m so that rho^m fixes it; small seeds give
+    disconnected and non-touching families, larger ones touching ones.
+    """
+    n = draw(st.integers(3, 40))
+    k = draw(st.integers(1, (n - 1) // 2))
+    g, rho = graphs.gen_petersen(n, k), _rotation(n)
+    m = draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
+    vertex = st.integers(0, 2 * n - 1)
+    arbitrary = st.frozensets(vertex, max_size=8)
+    connected = st.builds(functools.partial(_grown, g), vertex, st.lists(st.integers(0, 29), max_size=2 * n))
+    base = draw(st.one_of(arbitrary, connected))
+    power = list(range(2 * n))
+    for _ in range(m):
+        power = [rho[v] for v in power]
+    seed = frozenset().union(*_orbit(base, power, n // m))  # base under rho^0, rho^m, rho^2m, ...
+    return g, _orbit(seed, rho, m), rho
+
+
+@settings(max_examples=300, deadline=None)
+@given(orbit_cases())
+@example((graphs.gen_petersen(20, 4), bounds.petersen_bramble(20, 4).sets, _rotation(20)))  # fails at (0, 7)
+@example((graphs.gen_petersen(30, 4), bounds.petersen_bramble(30, 4).sets, _rotation(30)))  # valid
+@example((graphs.gen_petersen(9, 2), _orbit({0, 2}, _rotation(9), 9), _rotation(9)))  # disconnected
+@example((graphs.gen_petersen(9, 2), _orbit({0}, _rotation(9), 9), _rotation(9)))  # (0, 2) does not touch
+@example((graphs.gen_petersen(9, 2), _orbit((), _rotation(9), 9), _rotation(9)))  # empty sets
+@example((graphs.gen_petersen(9, 2), (), _rotation(9)))  # no sets
+def test_orbit_route_matches_generic(case):
+    g, sets, rho = case
+    report = bounds.validate_bramble(g, bounds.Bramble(sets, rotation=rho))
+    assert report == bounds.validate_bramble(g, bounds.Bramble(sets))
+
+
+def test_orbit_route_refuses_a_false_symmetry():
+    # each claim fails its check with StructuralError; the generic scan
+    # would return a report for the same sets, so nothing falls back to it
+    g = graphs.gen_petersen(12, 2)
+    bramble = bounds.petersen_bramble(12, 2)
+    rho = list(bramble.rotation)
+
+    def refused(sets, rotation, match, host=g):
+        bounds.validate_bramble(host, bounds.Bramble(sets))  # the pair scan gives a report
+        with pytest.raises(StructuralError, match=match):
+            bounds.validate_bramble(host, bounds.Bramble(sets, rotation=tuple(rotation)))
+
+    not_permutation = "not a permutation"
+    refused(bramble.sets, rho[:-1], not_permutation)  # too short
+    refused(bramble.sets, rho + [0], not_permutation)  # too long
+    refused(bramble.sets, [rho[1]] + rho[1:], not_permutation)  # an id twice
+    refused(bramble.sets, [v + 1 for v in rho], not_permutation)  # 24 is out of range
+    refused(bramble.sets, [str(v) for v in rho], not_permutation)
+    # not automorphisms: rotating the outer cycle alone breaks the spokes,
+    # and rho breaks the host once an edge is gone
+    refused(bramble.sets, rho[:12] + list(range(12, 24)), "edge set")
+    without_edge = graphs.Graph(24, g.edges[1:])
+    refused(bramble.sets, rho, "edge set", host=without_edge)
+    # on the Petersen graph, v_j -> u_{2j}, u_j -> v_{2j} is an automorphism
+    # (4 = -1 mod 5); on the prism with the same ids it is not
+    swap = tuple([5 + 2 * j % 5 for j in range(5)] + [2 * j % 5 for j in range(5)])
+    five = bounds.petersen_bramble(5, 2).sets
+    refused(five, swap, "set i onto set i[+]1", host=graphs.gen_petersen(5, 2))
+    refused(five, swap, "edge set", host=graphs.gen_petersen(5, 1))
+    # sets that are not one orbit
+    perturbed = list(bramble.sets)
+    perturbed[5] = perturbed[5] - {min(perturbed[5])} | {23 - min(perturbed[5])}
+    refused(tuple(perturbed), rho, "set i onto set i[+]1")
+    swapped = list(bramble.sets)
+    swapped[2], swapped[3] = swapped[3], swapped[2]
+    refused(tuple(swapped), rho, "set i onto set i[+]1")
+    refused(bramble.sets[:-1], rho, "set i onto set i[+]1")  # one set short of the orbit
+    shrunk = list(bramble.sets)
+    shrunk[4] = shrunk[4] - {min(shrunk[4])}
+    refused(tuple(shrunk), rho, "differ in size")
+    # ids out of range are refused as on the generic route, and the host cap holds
+    with pytest.raises(ParameterError):
+        bounds.validate_bramble(g, bounds.Bramble((frozenset({0, 24}),), rotation=tuple(rho)))
+    with pytest.raises(SizeCapError):
+        bounds.validate_bramble(graphs.Graph(4097, []), bounds.Bramble((frozenset({0}),), rotation=tuple(range(4097))))
 
 
 def test_transversal_fraction_examples():

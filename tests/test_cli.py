@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from widthlab import cli, decomp, graphs, oracles, suites
+from widthlab import cli, decomp, graphs, hales, oracles, suites
 from widthlab.errors import InfeasibleError, PreconditionError, UndefinedValueError
 
 
@@ -103,6 +103,17 @@ def test_hales_csv(tmp_path):
     assert out.read_text() == "rank,vector\n1,000\n2,001\n3,010\n4,100\n5,011\n6,101\n7,110\n8,111\n"
 
 
+def test_hales_csv_matches_digit_join(tmp_path, capsys):
+    # reference: each word's digits joined one str at a time
+    vectors = hales.word_bits(hales.hales_order(10), 10).tolist()
+    expected = "rank,vector\n" + "".join(f"{i},{''.join(map(str, vec))}\n" for i, vec in enumerate(vectors, start=1))
+    out = tmp_path / "order.csv"
+    assert run(["hales", "--n", "10", "--out", str(out)]) == 0
+    assert out.read_bytes() == expected.encode()
+    assert run(["hales", "--n", "10"]) == 0
+    assert capsys.readouterr().out == expected
+
+
 def test_hales_above_vertex_cap_writes_nothing(tmp_path, capsys):
     # 2^21 words exceed graphs.MAX_VERTICES; no row is built or written
     out = tmp_path / "order.csv"
@@ -198,6 +209,26 @@ def test_bramble_json(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["valid"] is True
     assert payload["fraction_bound"] == "7/3"
+
+
+def test_bramble_json_of_a_known_gap(capsys):
+    # the orbit route reports the full pair scan's first failing pair
+    assert run(["bramble", "--n", "20", "--k", "4"]) == 1
+    assert capsys.readouterr().out == json.dumps({
+        "instance": "petersen n=20 k=4",
+        "valid": False,
+        "first_disconnected": None,
+        "first_nontouching": [0, 7],
+        "set_size": 6,
+        "fraction_bound": "20/3",
+        "order_lower_bound": None,
+        "order_bound_note": "bound needs n >= 8(2k+2)^2 = 800, got n=20",
+    }, indent=1) + "\n"
+
+
+def test_bramble_above_bitset_cap_is_refused(capsys):
+    assert run(["bramble", "--n", "2049", "--k", "1"]) == 2  # 4098 host vertices
+    assert "capped at 4096 vertices" in capsys.readouterr().err
 
 
 def test_spectrum_json(tmp_path):
