@@ -11,8 +11,8 @@ a subset is processed after all of its supersets. A layer is enumerated
 in blocks of (high-half subsets of popcount a) x (low-half subsets of
 popcount k - a), at most 2^15 subsets per block, and the neighbour
 union of a subset is two lookups in half-width tables. The only arrays
-with 2^n entries are therefore the int8 tables the DPs return (and, in
-the separation DP, one working table).
+with 2^n entries are therefore the int8 tables the DPs return; the
+separation DP also reads the boundary table.
 
 Table semantics shared by the subset DPs: for an eliminated/placed set
 ``S`` (bitmask), ``table[S]`` is the best achievable cost over all ways
@@ -112,22 +112,23 @@ def boundary_table(nbrs: np.ndarray, n: int) -> np.ndarray:
 
 
 def sep_table(boundary: np.ndarray, n: int) -> np.ndarray:
-    """Suffix table of the vertex-separation DP (pathwidth)."""
-    h = np.empty(1 << n, dtype=np.int8)
-    h[-1] = 0
-    # done[T] = max(boundary[T], h[T]) once T's layer is done; 127 before,
-    # so that v already in S (S | bit == S) never wins the minimum
+    """Finished table of the vertex-separation DP (pathwidth).
+
+    done[S] = max(boundary[S], h[S]), where h[S] is the suffix cost:
+    the least width over all ways of placing the rest after S.
+    """
+    # 127 until S's layer is done, so that v already in S (S | bit == S)
+    # never wins the minimum
     done = np.full(1 << n, 127, dtype=np.int8)
-    done[-1] = max(int(boundary[-1]), 0)
+    done[-1] = boundary[-1]  # the full set: boundary 0, nothing remains
     for k, s in _layer_blocks(n):
         if k == n:
             continue
         best = np.full(len(s), 127, dtype=np.int8)
         for v in range(n):
             np.minimum(best, done[s | (1 << v)], out=best)
-        h[s] = best
         done[s] = np.maximum(boundary[s], best)
-    return h
+    return done
 
 
 def bv_table(nbrs: np.ndarray, n: int) -> np.ndarray:

@@ -13,6 +13,11 @@ misses the spokes v_j u_j for k+1 <= j <= 2k-1 (the validator reports
 exactly those); ``repaired`` drops the second seed bag and starts the
 sliding window k steps earlier, restoring coverage at the same width
 2k+2. The repaired mode is this package's fix, not a transcription.
+
+A chordal completion certificate carries its perfect elimination
+order and clique number, and is checked by that order alone: the
+zero-fill test of :func:`peo_clique_number` accepts the order and
+recomputes the clique number, so no chordality recognizer is needed.
 """
 
 from __future__ import annotations
@@ -30,14 +35,12 @@ __all__ = [
     "Decomposition",
     "DecompositionReport",
     "ChordalCertificate",
-    "ChordalityResult",
     "validate_decomposition",
     "petersen_pd",
     "independent_set_td",
     "lift_pd",
     "fillin_chordal",
-    "is_chordal",
-    "clique_number_chordal",
+    "peo_clique_number",
     "bk_prime",
     "read_td",
     "write_td",
@@ -204,19 +207,6 @@ def validate_decomposition(g: Graph, d: Decomposition) -> DecompositionReport:
 # ----------------------------------------------------------------------
 
 
-def _xyzw(n: int, k: int, i: int):
-    """Window bags at step i (1-based vertex indices, no wraparound needed)."""
-    x = {("u", j) for j in range(k + i, 2 * k + i)} | {("v", 2 * k + i - 1)}
-    y = x | {("u", 2 * k + i)}
-    z = y - {("u", k + i)}
-    w = z | {("v", 2 * k + i)}
-    return x, y, z, w
-
-
-def _pid(n: int, tag: str, j: int) -> int:
-    return j - 1 if tag == "v" else n + j - 1
-
-
 def petersen_pd(n: int, k: int, mode: str = "repaired") -> Decomposition:
     """Path decomposition of the double-cycle graph on 2n vertices.
 
@@ -230,51 +220,29 @@ def petersen_pd(n: int, k: int, mode: str = "repaired") -> Decomposition:
         raise ParameterError(f"mode must be 'verbatim' or 'repaired', got {mode!r}")
     if not (k >= 1 and 2 * k < n):
         raise ParameterError(f"need 1 <= k < n/2, got n={n} k={k}")
-    anchor = [0] + [n + j for j in range(k)]  # v_1, u_1..u_k
-    asize = k + 1
-
-    prefix = [sorted({_pid(n, "v", j) for j in range(1, k + 1)} | set(anchor))]
+    anchor = [0] + [n + j for j in range(k)]  # v_1, u_1..u_k (v_j has id j-1, u_j id n+j-1)
+    seeds = [range(k)]  # B1: v_1..v_k
     if mode == "verbatim":
-        prefix.append(sorted({_pid(n, "v", j) for j in range(k, 2 * k + 1)} | set(anchor)))
-    else:
-        for i in range(1 - k, 1):
-            for bag in _xyzw(n, k, i):
-                prefix.append(sorted({_pid(n, tag, j) for tag, j in bag} | set(anchor)))
-
+        seeds.append(range(k - 1, 2 * k))  # B2: v_k..v_2k
+    first = 1 if mode == "verbatim" else 1 - k
     m = n - 2 * k
-    iv = np.arange(1, m + 1, dtype=np.int64)[:, None]
-    anchor_cols = np.asarray(anchor, dtype=np.int64)[None, :].repeat(m, axis=0)
-    uwin = lambda lo_off, width: (n - 1) + (iv + lo_off + np.arange(width, dtype=np.int64)[None, :])
-    vcol = lambda off: (iv + off) - 1
-    x_rows = np.concatenate([uwin(k, k), vcol(2 * k - 1), anchor_cols], axis=1)
-    y_rows = np.concatenate([uwin(k, k + 1), vcol(2 * k - 1), anchor_cols], axis=1)
-    z_rows = np.concatenate([uwin(k + 1, k), vcol(2 * k - 1), anchor_cols], axis=1)
-    w_rows = np.concatenate([uwin(k + 1, k), vcol(2 * k - 1), vcol(2 * k), anchor_cols], axis=1)
-    main = np.concatenate([x_rows, y_rows, z_rows, w_rows], axis=1).ravel()
-    sizes_main = np.tile(
-        np.asarray([x_rows.shape[1], y_rows.shape[1], z_rows.shape[1], w_rows.shape[1]], dtype=np.int64),
-        m,
-    )
-    # final bag X_{m+1} = {u_{n-k+1}..u_n, v_n}
-    last = np.concatenate(
-        [
-            (n - 1) + (k + m + 1 + np.arange(k, dtype=np.int64)),
-            np.asarray([n - 1], dtype=np.int64),
-            np.asarray(anchor, dtype=np.int64),
-        ]
-    )
-    sizes = np.concatenate(
-        [
-            np.asarray([len(b) for b in prefix], dtype=np.int64),
-            sizes_main,
-            np.asarray([len(last)], dtype=np.int64),
-        ]
-    )
-    offsets = np.zeros(len(sizes) + 1, dtype=np.int64)
-    np.cumsum(sizes, out=offsets[1:])
-    flat = np.concatenate(
-        [np.asarray([v for b in prefix for v in b], dtype=np.int64), main, last]
-    )
+    # one row per step i = first..m+1: X_i | Y_i | Z_i | W_i, each bag followed by the anchor
+    i = np.arange(first, m + 2)[:, None]
+    u = (n - 1 + k) + i + np.arange(k + 1)  # u_{k+i}..u_{2k+i}
+    v = (2 * k - 2) + i + np.arange(2)  # v_{2k+i-1}, v_{2k+i}
+    a = np.broadcast_to(np.asarray(anchor), (len(i), k + 1))
+    rows = np.concatenate([u[:, :k], v[:, :1], a, u, v[:, :1], a, u[:, 1:], v[:, :1], a, u[:, 1:], v, a], axis=1)
+    sizes = [2 * k + 2, 2 * k + 3, 2 * k + 2, 2 * k + 3]
+    cuts = [0, *itertools.accumulate(sizes)]
+    early = 1 - first  # the steps i <= 0, whose windows meet the anchor
+    bags = [sorted({*b, *anchor}) for b in seeds]
+    bags += [sorted(set(row[lo:hi])) for row in rows[:early].tolist() for lo, hi in zip(cuts, cuts[1:])]
+    # the closing bag X_{m+1} is the X part of the last row
+    lens = [len(b) for b in bags] + sizes * m + sizes[:1]
+    offsets = np.zeros(len(lens) + 1, dtype=np.int64)
+    np.cumsum(np.asarray(lens), out=offsets[1:])
+    head = np.fromiter(itertools.chain.from_iterable(bags), dtype=np.int64, count=int(offsets[len(bags)]))
+    flat = np.concatenate([head, rows[early:-1].ravel(), rows[-1, : sizes[0]]])
     return Decomposition(flat, offsets, tree_edges=None)
 
 
@@ -344,137 +312,70 @@ class ChordalCertificate:
     peo: tuple
     omega: int
 
-    @property
-    def width(self) -> int:
-        return self.omega - 1
+
+def _positions(n: int, order: list) -> list:
+    """Position of every vertex in ``order``; refuses an order that is not a bijection on 0..n-1."""
+    if sorted(order) != list(range(n)):
+        raise ParameterError("elimination order must be a bijection on the vertices")
+    pos = [0] * n
+    for i, v in enumerate(order):
+        pos[v] = i
+    return pos
+
+
+def peo_clique_number(g: Graph, peo) -> int:
+    """Clique number of ``g``, checked against a claimed perfect elimination order.
+
+    Zero-fill test (Rose, Tarjan and Lueker 1976; Tarjan and Yannakakis
+    1984): the order is perfect iff, for every v, the earliest later
+    neighbour of v is adjacent to all of v's other later neighbours.
+    Then every later neighbourhood is a clique, so the clique number is
+    1 + the largest later-degree. A failed test raises
+    :class:`PreconditionError` naming v.
+    """
+    pos = _positions(g.num_vertices, [int(v) for v in peo])
+    nbrs = [set(map(int, g.neighbors(v))) for v in range(g.num_vertices)]
+    back = -1
+    for v in range(g.num_vertices):
+        later = {u for u in nbrs[v] if pos[u] > pos[v]}
+        if later:
+            parent = min(later, key=pos.__getitem__)
+            if not later - {parent} <= nbrs[parent]:
+                raise PreconditionError(f"order is not a perfect elimination order at vertex {v}")
+        back = max(back, len(later))
+    return back + 1
 
 
 def fillin_chordal(g: Graph, elimination_order) -> ChordalCertificate:
     """Eliminate along the order, connecting later neighbors at each step.
 
     The filled graph is chordal with the order as a perfect elimination
-    order; its clique number is one plus the largest later-degree seen.
+    order; its clique number comes from :func:`peo_clique_number`.
     """
     order = [int(v) for v in elimination_order]
-    if sorted(order) != list(range(g.num_vertices)):
-        raise ParameterError("elimination order must be a bijection on the vertices")
-    pos = {v: i for i, v in enumerate(order)}
+    pos = _positions(g.num_vertices, order)
     adj = [set(map(int, g.neighbors(v))) for v in range(g.num_vertices)]
-    back = 0
     for v in order:
         later = [u for u in adj[v] if pos[u] > pos[v]]
-        back = max(back, len(later))
         for i, a in enumerate(later):
             for b in later[i + 1 :]:
                 adj[a].add(b)
                 adj[b].add(a)
     edges = [(u, v) for u in range(g.num_vertices) for v in adj[u] if u < v]
     filled = Graph(g.num_vertices, edges, labels=g.labels)
-    return ChordalCertificate(filled, tuple(order), back + 1)
+    return ChordalCertificate(filled, tuple(order), peo_clique_number(filled, order))
 
 
-@dataclass(frozen=True)
-class ChordalityResult:
-    chordal: bool
-    peo: tuple | None = None
-    witness_cycle: tuple | None = None
-
-
-def _mcs_order(g: Graph) -> list:
-    """Maximum cardinality search; returns a candidate elimination order."""
-    n = g.num_vertices
-    weight = [0] * n
-    picked = [False] * n
-    rev = []
-    for _ in range(n):
-        v = max((u for u in range(n) if not picked[u]), key=lambda u: (weight[u], -u))
-        picked[v] = True
-        rev.append(v)
-        for u in g.neighbors(v):
-            if not picked[int(u)]:
-                weight[int(u)] += 1
-    rev.reverse()
-    return rev
-
-
-def _chordless_cycle_through(g: Graph, v: int, p: int, w: int):
-    """Chordless cycle v-p-...-w-v via a shortest p-w path outside N[v]."""
-    banned = set(map(int, g.neighbors(v))) | {v}
-    banned -= {p, w}
-    prev = {p: None}
-    queue = [p]
-    while queue:
-        cur = queue.pop(0)
-        if cur == w:
-            path = []
-            while cur is not None:
-                path.append(cur)
-                cur = prev[cur]
-            return tuple([v] + path[::-1])
-        for u in map(int, g.neighbors(cur)):
-            if u in banned or u in prev:
-                continue
-            prev[u] = cur
-            queue.append(u)
-    return None
-
-
-def is_chordal(g: Graph) -> ChordalityResult:
-    """Maximum-cardinality search plus the zero-fill check.
-
-    On failure the result carries a chordless cycle of length at least
-    four as the witness.
-    """
-    order = _mcs_order(g)
-    pos = {v: i for i, v in enumerate(order)}
-    nbrs = [set(map(int, g.neighbors(v))) for v in range(g.num_vertices)]
-    failure = None
-    for v in order:
-        later = [u for u in nbrs[v] if pos[u] > pos[v]]
-        if not later:
-            continue
-        parent = min(later, key=lambda u: pos[u])
-        for u in later:
-            if u != parent and u not in nbrs[parent]:
-                failure = (v, parent, u)
-                break
-        if failure:
-            break
-    if failure is None:
-        return ChordalityResult(True, peo=tuple(order))
-    cycle = _chordless_cycle_through(g, *failure)
-    if cycle is None:
-        # fall back to an exhaustive witness scan; the zero-fill failure
-        # guarantees one exists
-        for v in range(g.num_vertices):
-            nb = sorted(nbrs[v])
-            for i, p in enumerate(nb):
-                for w in nb[i + 1 :]:
-                    if w in nbrs[p]:
-                        continue
-                    cycle = _chordless_cycle_through(g, v, p, w)
-                    if cycle is not None:
-                        return ChordalityResult(False, witness_cycle=cycle)
-        raise AssertionError("zero-fill check failed but no chordless cycle found")
-    return ChordalityResult(False, witness_cycle=cycle)
-
-
-def clique_number_chordal(g: Graph, peo) -> int:
-    """Clique number from a perfect elimination order (1 + max later-degree)."""
-    pos = {int(v): i for i, v in enumerate(peo)}
-    best = 0
-    for v in range(g.num_vertices):
-        later = sum(1 for u in g.neighbors(v) if pos[int(u)] > pos[v])
-        best = max(best, later)
-    return best + 1
-
-
-def bk_prime(n: int, k: int, cert: ChordalCertificate) -> Graph:
+def bk_prime(n: int, k: int, cert: ChordalCertificate) -> ChordalCertificate:
     """Embed a chordal completion of the k-subset graph into the inclusion graph.
 
-    Adds the certificate's edges inside the left part of the
-    k-versus-(n-k) inclusion graph (n = 2k+1) and asserts the result is
-    chordal with clique number at most max(omega, k+2).
+    Checks the certificate's order and clique number, adds its edges
+    inside the left part of the k-versus-(n-k) inclusion graph
+    (n = 2k+1), and returns the merged graph's certificate. Its order
+    eliminates the right part first: the k+1 neighbours of a right
+    vertex pairwise share k-1 elements, so they are adjacent in the
+    k-subset graph and every right vertex is simplicial. Then comes the
+    certificate's order, so the clique number is max(omega, k+2).
     """
     if n != 2 * k + 1:
         raise ParameterError(f"bk_prime needs n = 2k+1, got n={n} k={k}")
@@ -490,23 +391,18 @@ def bk_prime(n: int, k: int, cert: ChordalCertificate) -> Graph:
     }
     if not jedges <= hedges:
         raise PreconditionError("certificate graph does not contain the k-subset graph")
-    if not is_chordal(cert.graph).chordal:
-        raise PreconditionError("certificate graph is not chordal")
+    omega = peo_clique_number(cert.graph, cert.peo)
+    if omega != cert.omega:
+        raise PreconditionError(f"certificate claims clique number {cert.omega}, its order gives {omega}")
     bk = gen_bipartite_kneser(n, k)
-    extra = [
-        (bk.index_of_label(a), bk.index_of_label(b))
-        for a, b in (tuple(e) for e in hedges)
-    ]
-    merged = Graph(
-        bk.num_vertices,
-        np.concatenate([bk.edges, np.asarray(extra, dtype=np.int64).reshape(-1, 2)]),
-        labels=bk.labels,
-    )
-    res = is_chordal(merged)
-    assert res.chordal, "left-part completion should keep the inclusion graph chordal"
-    omega = clique_number_chordal(merged, res.peo)
-    assert omega <= max(cert.omega, k + 2), (omega, cert.omega, k + 2)
-    return merged
+    ids = [bk.index_of_label(label) for label in cert.graph.labels]
+    extra = np.asarray(ids, dtype=np.int64)[cert.graph.edges]
+    merged = Graph(bk.num_vertices, np.concatenate([bk.edges, extra.reshape(-1, 2)]), labels=bk.labels)
+    right = sorted(set(range(bk.num_vertices)) - set(ids))
+    peo = tuple(right) + tuple(ids[int(v)] for v in cert.peo)
+    omega = peo_clique_number(merged, peo)
+    assert omega == max(cert.omega, k + 2), (omega, cert.omega, k + 2)
+    return ChordalCertificate(merged, peo, omega)
 
 
 # ----------------------------------------------------------------------

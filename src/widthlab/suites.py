@@ -61,6 +61,8 @@ class SuiteConfig:
             raise ParameterError(f"unknown suite {self.name!r}; known: {sorted(SUITES)}")
         if self.fmt not in ("json", "csv"):
             raise ParameterError(f"format must be json or csv, got {self.fmt!r}")
+        if not isinstance(self.workers, int) or self.workers < 1:
+            raise ParameterError(f"workers must be a positive integer, got {self.workers!r}")
         defaults = dict(SUITES[self.name][1])
         unknown = set(self.params) - set(defaults)
         if unknown:
@@ -294,9 +296,8 @@ def _job_kneser_core() -> list:
     cert = decomp.fillin_chordal(j52, order_j)
     recs.append(_rec("kneser fillin_width_vs_tw", cert.omega - 1, twj))
     merged = decomp.bk_prime(5, 2, cert)
-    res = decomp.is_chordal(merged)
-    omega = decomp.clique_number_chordal(merged, res.peo)
-    recs.append(_rec_cmp("kneser bk_prime_chordal", res.chordal, "chordal", "chordal"))
+    omega = decomp.peo_clique_number(merged.graph, merged.peo)  # raises unless merged.peo is perfect
+    recs.append(_rec_cmp("kneser bk_prime_chordal", omega == merged.omega, "chordal", "chordal"))
     recs.append(_rec_cmp("kneser bk_prime_covers_tw", omega - 1 >= twbk, f"omega-1={omega - 1} >= tw(BK)={twbk}", "omega-1 >= tw(BK)"))
     return recs
 
@@ -472,8 +473,9 @@ def _run_job(job):
 def run_suite(config: SuiteConfig) -> list:
     """Execute a suite; returns its records sorted by instance key."""
     jobs = SUITES[config.name][0](config.params)
-    if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+    workers = min(config.workers, len(jobs))  # a pool forks all of its workers up front
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_run_job, jobs))
     else:
         chunks = [_run_job(j) for j in jobs]

@@ -307,6 +307,12 @@ def test_suite_workers_match_serial(tmp_path):
     assert json.loads(serial.read_text())["records"] == json.loads(parallel.read_text())["records"]
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_suite_refuses_workers_below_one(workers, capsys):
+    assert run(["suite", "--name", "limits", "--workers", workers]) == 2
+    assert "workers must be a positive integer" in capsys.readouterr().err
+
+
 def test_table_bw_closed_row_count(tmp_path):
     out = tmp_path / "t.csv"
     assert run(["table", "--formula", "bw_closed", "--t", "1:3", "--n", "1:10", "--out", str(out)]) == 0

@@ -1,4 +1,6 @@
-"""Decomposition validators, constructors, chordal machinery, .td round trip."""
+"""Decomposition validators, constructors, chordal completion certificates, .td round trip."""
+
+import itertools
 
 import numpy as np
 import pytest
@@ -277,6 +279,98 @@ def test_malformed_shapes_raise():
         Decomposition(np.array([0, 1]), np.array([0, 1, 2]), tree_edges=[0, 1, 1])  # an odd number of edge ends
 
 
+# ----------------------------------------------------------------------
+# reference double-cycle path decomposition: the bag-by-bag construction
+# petersen_pd replaced, copied unchanged except for its name
+# ----------------------------------------------------------------------
+
+
+def _xyzw(n: int, k: int, i: int):
+    """Window bags at step i (1-based vertex indices, no wraparound needed)."""
+    x = {("u", j) for j in range(k + i, 2 * k + i)} | {("v", 2 * k + i - 1)}
+    y = x | {("u", 2 * k + i)}
+    z = y - {("u", k + i)}
+    w = z | {("v", 2 * k + i)}
+    return x, y, z, w
+
+
+def _pid(n: int, tag: str, j: int) -> int:
+    return j - 1 if tag == "v" else n + j - 1
+
+
+def _petersen_pd_reference(n: int, k: int, mode: str = "repaired") -> Decomposition:
+    """Path decomposition of the double-cycle graph on 2n vertices.
+
+    ``verbatim`` follows the original recipe (seed bags B1, B2, then
+    the sliding X/Y/Z/W window from i=1); ``repaired`` drops B2 and
+    starts the window at i = 1-k. Both add the anchor set
+    {v_1, u_1..u_k} to every bag; max bag size is 2k+3, so the width
+    is 2k+2.
+    """
+    if mode not in ("verbatim", "repaired"):
+        raise ParameterError(f"mode must be 'verbatim' or 'repaired', got {mode!r}")
+    if not (k >= 1 and 2 * k < n):
+        raise ParameterError(f"need 1 <= k < n/2, got n={n} k={k}")
+    anchor = [0] + [n + j for j in range(k)]  # v_1, u_1..u_k
+    asize = k + 1
+
+    prefix = [sorted({_pid(n, "v", j) for j in range(1, k + 1)} | set(anchor))]
+    if mode == "verbatim":
+        prefix.append(sorted({_pid(n, "v", j) for j in range(k, 2 * k + 1)} | set(anchor)))
+    else:
+        for i in range(1 - k, 1):
+            for bag in _xyzw(n, k, i):
+                prefix.append(sorted({_pid(n, tag, j) for tag, j in bag} | set(anchor)))
+
+    m = n - 2 * k
+    iv = np.arange(1, m + 1, dtype=np.int64)[:, None]
+    anchor_cols = np.asarray(anchor, dtype=np.int64)[None, :].repeat(m, axis=0)
+    uwin = lambda lo_off, width: (n - 1) + (iv + lo_off + np.arange(width, dtype=np.int64)[None, :])
+    vcol = lambda off: (iv + off) - 1
+    x_rows = np.concatenate([uwin(k, k), vcol(2 * k - 1), anchor_cols], axis=1)
+    y_rows = np.concatenate([uwin(k, k + 1), vcol(2 * k - 1), anchor_cols], axis=1)
+    z_rows = np.concatenate([uwin(k + 1, k), vcol(2 * k - 1), anchor_cols], axis=1)
+    w_rows = np.concatenate([uwin(k + 1, k), vcol(2 * k - 1), vcol(2 * k), anchor_cols], axis=1)
+    main = np.concatenate([x_rows, y_rows, z_rows, w_rows], axis=1).ravel()
+    sizes_main = np.tile(
+        np.asarray([x_rows.shape[1], y_rows.shape[1], z_rows.shape[1], w_rows.shape[1]], dtype=np.int64),
+        m,
+    )
+    # final bag X_{m+1} = {u_{n-k+1}..u_n, v_n}
+    last = np.concatenate(
+        [
+            (n - 1) + (k + m + 1 + np.arange(k, dtype=np.int64)),
+            np.asarray([n - 1], dtype=np.int64),
+            np.asarray(anchor, dtype=np.int64),
+        ]
+    )
+    sizes = np.concatenate(
+        [
+            np.asarray([len(b) for b in prefix], dtype=np.int64),
+            sizes_main,
+            np.asarray([len(last)], dtype=np.int64),
+        ]
+    )
+    offsets = np.zeros(len(sizes) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=offsets[1:])
+    flat = np.concatenate(
+        [np.asarray([v for b in prefix for v in b], dtype=np.int64), main, last]
+    )
+    return Decomposition(flat, offsets, tree_edges=None)
+
+
+@pytest.mark.parametrize("mode", ["verbatim", "repaired"])
+def test_petersen_pd_matches_reference(mode):
+    # k = 1 included: there v_{2k-1} = v_1 already sits in the anchor
+    for k in range(1, 7):
+        for n in [2 * k + 1, 2 * k + 2, 2 * k + 3, 3 * k + 4, 40, 97]:
+            new, ref = decomp.petersen_pd(n, k, mode), _petersen_pd_reference(n, k, mode)
+            assert new.flat.dtype == ref.flat.dtype and new.offsets.dtype == ref.offsets.dtype
+            assert new.flat.tolist() == ref.flat.tolist(), (n, k)
+            assert new.offsets.tolist() == ref.offsets.tolist(), (n, k)
+            assert new.is_path
+
+
 @pytest.mark.parametrize("n", [5, 7, 12, 40])
 def test_petersen_pd_verbatim_skip_one(n):
     g = graphs.gen_petersen(n, 1)
@@ -441,7 +535,7 @@ def test_fillin_square():
     cert = decomp.fillin_chordal(g, [0, 1, 2, 3])
     assert cert.omega == 3
     assert cert.graph.num_edges == 5  # one chord added
-    assert decomp.is_chordal(cert.graph).chordal
+    assert decomp.peo_clique_number(cert.graph, cert.peo) == 3
 
 
 def test_fillin_tree_no_fill():
@@ -461,33 +555,60 @@ def test_fillin_optimal_order_matches_treewidth():
 def test_fillin_requires_bijection():
     with pytest.raises(ParameterError):
         decomp.fillin_chordal(cycle(4), [0, 1, 2])
+    for order in ([0, 1, 2], [0, 1, 2, 2], [0, 1, 2, 4], [0, 1, 2, 3, 0]):
+        with pytest.raises(ParameterError):
+            decomp.peo_clique_number(cycle(4), order)
 
 
-def test_is_chordal_square():
-    res = decomp.is_chordal(cycle(4))
-    assert not res.chordal
-    assert len(res.witness_cycle) == 4
-    chorded = graphs.Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
-    assert decomp.is_chordal(chorded).chordal
+def _later_neighbourhoods(g, order):
+    pos = {v: i for i, v in enumerate(order)}
+    return [[u for u in map(int, g.neighbors(v)) if pos[u] > pos[v]] for v in range(g.num_vertices)]
 
 
-def test_is_chordal_witness_is_chordless_cycle():
-    g = cycle(6)
-    res = decomp.is_chordal(g)
-    cyc = list(res.witness_cycle)
-    assert len(cyc) >= 4
-    for i, v in enumerate(cyc):
-        assert cyc[(i + 1) % len(cyc)] in g.neighbors(v)
-        for j in range(i + 2, len(cyc)):
-            if (i, j) != (0, len(cyc) - 1):
-                assert cyc[j] not in g.neighbors(v)
+def _is_clique(g, vertices):
+    return all(b in g.neighbors(a) for a, b in itertools.combinations(vertices, 2))
+
+
+def _clique_number_brute(g):
+    best = min(g.num_vertices, 1)
+    for size in range(2, g.num_vertices + 1):
+        if not any(_is_clique(g, c) for c in itertools.combinations(range(g.num_vertices), size)):
+            break  # a clique's subsets are cliques, so nothing larger exists
+        best = size
+    return best
+
+
+@st.composite
+def graphs_with_orders(draw):
+    """A random graph on n <= 9 vertices, a random order, and sometimes its fill-in along that order."""
+    n = draw(st.integers(1, 9))
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    g = graphs.Graph(n, [e for e, k in zip(pairs, keep) if k])
+    order = draw(st.permutations(range(n)))
+    if draw(st.booleans()):  # make the order perfect, so both outcomes are drawn often
+        g = decomp.fillin_chordal(g, order).graph
+    return g, order
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs_with_orders())
+@example((cycle(4), [0, 1, 2, 3]))
+@example((graphs.Graph(1, []), [0]))
+def test_peo_check_matches_brute_force(case):
+    g, order = case
+    if all(_is_clique(g, later) for later in _later_neighbourhoods(g, order)):
+        assert decomp.peo_clique_number(g, order) == _clique_number_brute(g)
+    else:
+        with pytest.raises(PreconditionError, match="perfect elimination order"):
+            decomp.peo_clique_number(g, order)
 
 
 def test_clique_number_from_peo():
     g = graphs.Graph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
-    res = decomp.is_chordal(g)
-    assert res.chordal
-    assert decomp.clique_number_chordal(g, res.peo) == 4
+    assert decomp.peo_clique_number(g, range(4)) == 4
+    with pytest.raises(PreconditionError, match="at vertex 0"):
+        decomp.peo_clique_number(cycle(4), [0, 1, 2, 3])
 
 
 def test_bk_prime_chain():
@@ -495,19 +616,21 @@ def test_bk_prime_chain():
     tw, order = oracles.exact_treewidth(j)
     cert = decomp.fillin_chordal(j, order)
     merged = decomp.bk_prime(5, 2, cert)
-    res = decomp.is_chordal(merged)
-    assert res.chordal
-    omega = decomp.clique_number_chordal(merged, res.peo)
-    assert omega <= max(cert.omega, 4)
+    omega = decomp.peo_clique_number(merged.graph, merged.peo)
+    assert omega == merged.omega == max(cert.omega, 4)
     bk = graphs.gen_bipartite_kneser(5, 2)
     twbk, _ = oracles.exact_treewidth(bk)
     assert omega - 1 >= twbk
+    # the right part comes first in the order, then the certificate's order
+    right = [v for v in range(bk.num_vertices) if len(bk.labels[v]) == 3]
+    assert list(merged.peo[: len(right)]) == right
+    assert [merged.graph.labels[v] for v in merged.peo[len(right) :]] == [j.labels[v] for v in cert.peo]
 
 
 def test_bk_prime_right_vertex_cliques_small():
     j = graphs.gen_johnson(5, 2)
     _, order = oracles.exact_treewidth(j)
-    merged = decomp.bk_prime(5, 2, decomp.fillin_chordal(j, order))
+    merged = decomp.bk_prime(5, 2, decomp.fillin_chordal(j, order)).graph
     right = {v for v in range(merged.num_vertices) if len(merged.labels[v]) == 3}
     # any clique through a right vertex is that vertex plus a subset of
     # its k+1 left neighbors, so at most k+2 vertices
@@ -528,6 +651,26 @@ def test_bk_prime_rejects_bad_certificates():
     with pytest.raises(ParameterError):
         _, order = oracles.exact_treewidth(j)
         decomp.bk_prime(6, 2, decomp.fillin_chordal(j, order))
+
+
+@pytest.mark.parametrize("off", [-1, 1])
+def test_bk_prime_refuses_a_wrong_clique_number(off):
+    j = graphs.gen_johnson(5, 2)
+    cert = decomp.fillin_chordal(j, oracles.exact_treewidth(j)[1])
+    with pytest.raises(PreconditionError, match="clique number"):
+        decomp.bk_prime(5, 2, decomp.ChordalCertificate(cert.graph, cert.peo, cert.omega + off))
+
+
+def test_bk_prime_refuses_an_order_that_is_not_perfect():
+    j = graphs.gen_johnson(5, 2)
+    cert = decomp.fillin_chordal(j, oracles.exact_treewidth(j)[1])
+    # the filled graph is chordal, but an order that starts at a vertex
+    # whose neighbourhood is not a clique is not perfect
+    v = next(v for v in range(j.num_vertices) if not _is_clique(cert.graph, cert.graph.neighbors(v).tolist()))
+    wrong = (v,) + tuple(u for u in cert.peo if u != v)
+    assert not _is_clique(cert.graph, _later_neighbourhoods(cert.graph, wrong)[v])
+    with pytest.raises(PreconditionError, match="perfect elimination order"):
+        decomp.bk_prime(5, 2, decomp.ChordalCertificate(cert.graph, wrong, cert.omega))
 
 
 def test_td_round_trip_bit_exact(tmp_path):

@@ -65,3 +65,34 @@ def test_records_sorted_and_stringly(suite_records):
     assert [r.instance for r in records] == sorted(r.instance for r in records)
     for r in records:
         assert isinstance(r.lhs, str) and isinstance(r.rhs, str)
+
+
+@pytest.mark.parametrize("workers", [0, -1, 2.0, "2"])
+def test_workers_must_be_a_positive_integer(workers):
+    with pytest.raises(ParameterError):
+        suites.SuiteConfig("limits", workers=workers)
+
+
+def test_pool_is_no_larger_than_the_job_list(monkeypatch):
+    sizes = []
+
+    class RecordingPool:  # runs the jobs in this process; never forks
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(suites, "ProcessPoolExecutor", RecordingPool)
+    config = suites.SuiteConfig("appendixB", workers=5000)
+    records = suites.run_suite(config)
+    assert sizes == [len(suites.SUITES["appendixB"][0](config.params))]
+    assert records == suites.run_suite(suites.SuiteConfig("appendixB"))
+    suites.run_suite(suites.SuiteConfig("limits", workers=5000))  # one job: no pool at all
+    assert len(sizes) == 1
