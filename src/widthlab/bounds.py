@@ -13,9 +13,11 @@ number of sets). Then set 0 connected makes every set connected, and
 touching depends only on j - i, so set 0 against every other set gives
 the same report as the scan over all pairs. A failed symmetry check
 raises :class:`StructuralError` rather than falling back to that scan,
-which stays the route for sets without a rotation. Claimed spectra are
-checked against integer trace moments in exact arithmetic rather than
-by floating point eigensolvers.
+which stays the route for sets without a rotation. The transversal
+bounds here and in ``oracles.exact_transversal`` take plain set families
+such as ``Bramble.sets``. Claimed spectra are checked against integer
+trace moments in exact arithmetic rather than by floating point
+eigensolvers.
 The moment match is only a necessary condition, not a certificate:
 the false BK(7,3) spectrum ((4,1),(3,5),(2,20),(0,15),(-1,9),(-2,10),
 (-3,10)) matches the first four moments (ROADMAP item 3, an exact
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -38,12 +41,10 @@ from .widthcalc import binom_ext
 __all__ = [
     "Bramble",
     "BrambleReport",
-    "Hypergraph",
     "Spectrum",
     "MomentReport",
     "petersen_bramble",
     "validate_bramble",
-    "bramble_hypergraph",
     "transversal_fraction_bound",
     "petersen_order_lower_bound",
     "bk_spectrum",
@@ -75,27 +76,6 @@ class BrambleReport:
     ok: bool
     first_disconnected: int | None = None  # set index
     first_nontouching: tuple | None = None  # pair of set indices
-
-
-@dataclass(frozen=True)
-class Hypergraph:
-    num_vertices: int
-    edges: tuple  # tuple of frozensets
-
-    def __post_init__(self):
-        if any(not e for e in self.edges):
-            raise ParameterError("hyperedges must be non-empty")
-
-    @property
-    def num_edges(self) -> int:
-        return len(self.edges)
-
-    def max_degree(self) -> int:
-        deg = {}
-        for e in self.edges:
-            for v in e:
-                deg[v] = deg.get(v, 0) + 1
-        return max(deg.values(), default=0)
 
 
 def petersen_bramble(n: int, k: int) -> Bramble:
@@ -214,16 +194,14 @@ def _validate_orbit(g: Graph, bramble: Bramble, nbrs: list, single: list) -> Bra
     return BrambleReport(True)
 
 
-def bramble_hypergraph(g: Graph, bramble: Bramble) -> Hypergraph:
-    """Hypergraph on the host's vertices whose edges are the bramble sets."""
-    return Hypergraph(g.num_vertices, tuple(bramble.sets))
-
-
-def transversal_fraction_bound(h: Hypergraph) -> Fraction:
-    """Edges-over-max-degree lower bound on the transversal number."""
-    if h.num_edges == 0:
-        raise ParameterError("transversal bound needs a non-empty hypergraph")
-    return Fraction(h.num_edges, h.max_degree())
+def transversal_fraction_bound(sets) -> Fraction:
+    """Sets-over-max-degree lower bound on the transversal number of a family such as ``Bramble.sets``."""
+    sets = [frozenset(s) for s in sets]
+    if not sets:
+        raise ParameterError("transversal bound needs a non-empty set family")
+    if not all(sets):
+        raise ParameterError("sets must be non-empty")
+    return Fraction(len(sets), max(Counter(v for s in sets for v in s).values()))
 
 
 def petersen_order_lower_bound(n: int, k: int) -> int:

@@ -3,9 +3,10 @@
 Subcommands: gen, hales, bw, radius, decomp, bramble, spectrum, oracle,
 suite, table. Exit codes: 0 when everything checked out (or failures
 are explicitly flagged as known), 1 when a command ran and found an
-identity failure, 2 on a usage error or any raised widthlab error
-(malformed input, a size cap, an unmet precondition): a raised error
-refuses the input and never reports an identity failure.
+identity failure, 2 on a usage error, a file that cannot be opened or
+any raised widthlab error (malformed input, a size cap, an unmet
+precondition): a raised error refuses the input and never reports an
+identity failure.
 """
 
 from __future__ import annotations
@@ -112,10 +113,10 @@ def _cmd_radius(args) -> int:
 
 
 def _cmd_decomp(args) -> int:
+    if bool(args.gr) != bool(args.td):
+        raise ParameterError("--gr and --td are given together or not at all")
     if args.gr:
         g = graphs.read_graph(args.gr)
-        if not args.td:
-            raise ParameterError("--td is required together with --gr")
         d, declared_n = decomp.read_td(args.td)
         if declared_n != g.num_vertices:
             print(f"declared vertex count {declared_n} differs from graph ({g.num_vertices})")
@@ -144,14 +145,13 @@ def _cmd_bramble(args) -> int:
     g = graphs.gen_petersen(n, k)
     bramble = bounds.petersen_bramble(n, k)
     report = bounds.validate_bramble(g, bramble)
-    h = bounds.bramble_hypergraph(g, bramble)
     payload = {
         "instance": f"petersen n={n} k={k}",
         "valid": report.ok,
         "first_disconnected": report.first_disconnected,
         "first_nontouching": report.first_nontouching,
         "set_size": len(bramble.sets[0]),
-        "fraction_bound": str(bounds.transversal_fraction_bound(h)),
+        "fraction_bound": str(bounds.transversal_fraction_bound(bramble.sets)),
     }
     try:
         payload["order_lower_bound"] = bounds.petersen_order_lower_bound(n, k)
@@ -320,7 +320,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except WidthLabError as exc:
+    except (WidthLabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -11,12 +11,13 @@ treewidth and pathwidth orders are the lexicographically smallest ones
 achieving the optimum. The bandwidth order is the best breadth-first
 layout (lowest start vertex among the best) when that layout is
 already optimal, and otherwise the lexicographically smallest optimal
-layout.
+layout. :func:`exact_transversal` takes a plain set family, such as a
+bramble's sets, and runs a bounded search tree.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, count
 
 import numpy as np
 
@@ -373,58 +374,35 @@ def bipartite_perfect_matching(g: Graph):
     return sorted((v, u) for u, v in match.items())
 
 
-def exact_transversal(hypergraph) -> int:
-    """Minimum hitting-set size by branch and bound on uncovered edges.
+def exact_transversal(sets) -> int:
+    """Minimum hitting-set size of a family of vertex collections such as ``Bramble.sets``.
 
-    Accepts any object with an ``edges`` attribute (iterable of vertex
-    collections); empty edges are rejected. Branches on the smallest
-    uncovered edge; a greedy disjoint-edge packing supplies the lower
-    bound for pruning.
+    Empty sets are refused. ``hit(unhit, k)`` refuses when a greedy packing
+    of disjoint unhit sets, smallest first, needs more than k vertices, and
+    else branches on each vertex of the smallest unhit set; the answer is
+    the least k for which it succeeds.
     """
-    edges = [frozenset(e) for e in hypergraph.edges]
-    if any(not e for e in edges):
-        raise ParameterError("hyperedges must be non-empty")
-    if not edges:
-        return 0
-    vertices = set().union(*edges)
-    if len(edges) > TRANSVERSAL_CAP and len(vertices) > TRANSVERSAL_CAP:
+    sets = [frozenset(s) for s in sets]
+    if not all(sets):
+        raise ParameterError("sets must be non-empty")
+    vertices = set().union(*sets)
+    if len(sets) > TRANSVERSAL_CAP and len(vertices) > TRANSVERSAL_CAP:
         raise SizeCapError(
             f"transversal search capped at {TRANSVERSAL_CAP} vertices or {TRANSVERSAL_CAP} edges, "
-            f"got {len(vertices)} and {len(edges)}"
+            f"got {len(vertices)} and {len(sets)}"
         )
 
-    def packing_bound(uncovered) -> int:
-        used = set()
-        count = 0
-        for e in sorted(uncovered, key=len):
-            if not (e & used):
-                count += 1
-                used |= e
-        return count
+    def hit(unhit, k: int) -> bool:  # unhit keeps the order of sets: smallest first
+        if not unhit:
+            return True
+        used, packing = set(), 0
+        for s in unhit:
+            if not s & used:
+                used |= s
+                packing += 1
+        if packing > k:
+            return False
+        return any(hit([s for s in unhit if v not in s], k - 1) for v in sorted(unhit[0]))
 
-    # greedy cover as the starting incumbent
-    cover = set()
-    remaining = list(edges)
-    while remaining:
-        counts = {}
-        for e in remaining:
-            for v in e:
-                counts[v] = counts.get(v, 0) + 1
-        v = max(sorted(counts), key=lambda u: counts[u])
-        cover.add(v)
-        remaining = [e for e in remaining if v not in e]
-    best = len(cover)
-
-    def branch(size: int, uncovered) -> None:
-        nonlocal best
-        if not uncovered:
-            best = min(best, size)
-            return
-        if size + packing_bound(uncovered) >= best:
-            return
-        pivot = min(uncovered, key=lambda e: (len(e), sorted(e)))
-        for v in sorted(pivot):
-            branch(size + 1, [e for e in uncovered if v not in e])
-
-    branch(0, edges)
-    return best
+    sets.sort(key=lambda s: (len(s), sorted(s)))
+    return next(k for k in count() if hit(sets, k))

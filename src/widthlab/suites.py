@@ -196,37 +196,23 @@ def _job_petersen_pd(n: int, k_max: int) -> list:
         if 2 * k >= n:
             continue
         g = graphs.gen_petersen(n, k)
-        rep = decomp.validate_decomposition(g, decomp.petersen_pd(n, k, "repaired"))
-        recs.append(
-            _rec_cmp(
-                f"petersen-pd n={n:04d} k={k} repaired",
-                rep.ok and rep.width == 2 * k + 2,
-                f"ok={rep.ok} width={rep.width}",
-                f"ok=True width={2 * k + 2}",
-            )
-        )
-        vrep = decomp.validate_decomposition(g, decomp.petersen_pd(n, k, "verbatim"))
-        if k == 1:
-            recs.append(
-                _rec_cmp(
-                    f"petersen-pd n={n:04d} k={k} verbatim",
-                    vrep.ok and vrep.width == 2 * k + 2,
-                    f"ok={vrep.ok} width={vrep.width}",
-                    f"ok=True width={2 * k + 2}",
-                )
-            )
-        else:
+        for mode in ("repaired", "verbatim"):
+            rep = decomp.validate_decomposition(g, decomp.petersen_pd(n, k, mode))
+            instance = f"petersen-pd n={n:04d} k={k} {mode}"
+            if mode == "repaired" or k == 1:
+                recs.append(_rec(instance, f"ok={rep.ok} width={rep.width}", f"ok=True width={2 * k + 2}"))
+                continue
             expected = _expected_verbatim_gap(n, k)
-            observed = tuple(sorted(vrep.uncovered_edges))
+            observed = tuple(sorted(rep.uncovered_edges))
             matches = (
                 observed == expected
-                and not vrep.missing_vertices
-                and not vrep.disconnected_vertices
-                and vrep.width == 2 * k + 2
+                and not rep.missing_vertices
+                and not rep.disconnected_vertices
+                and rep.width == 2 * k + 2
             )
             recs.append(
                 Record(
-                    f"petersen-pd n={n:04d} k={k} verbatim",
+                    instance,
                     f"uncovered={observed}",
                     f"uncovered={expected}",
                     equal=False,
@@ -270,12 +256,12 @@ def _job_petersen_global() -> list:
     br = bounds.petersen_bramble(5, 2)
     rep = bounds.validate_bramble(g, br)
     recs.append(_rec_cmp("petersen-5-2 bramble_valid", rep.ok, f"ok={rep.ok}", "ok=True"))
-    tau = oracles.exact_transversal(bounds.bramble_hypergraph(g, br))
+    tau = oracles.exact_transversal(br.sets)
     recs.append(_rec("petersen-5-2 bramble_transversal", tau, 3))
     tw, _ = oracles.exact_treewidth(g)
     recs.append(_rec("petersen-5-2 treewidth", tw, 4))
     recs.append(_rec_cmp("petersen-5-2 bramble_vs_tw", tw >= tau - 1, f"tw={tw} >= tau-1={tau - 1}", "tw >= tau-1"))
-    frac = bounds.transversal_fraction_bound(bounds.bramble_hypergraph(g, br))
+    frac = bounds.transversal_fraction_bound(br.sets)
     recs.append(_rec_cmp("petersen-5-2 fraction_vs_tau", frac <= tau, f"{frac} <= {tau}", "fraction <= tau"))
     return recs
 

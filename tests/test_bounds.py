@@ -321,20 +321,26 @@ def test_orbit_route_refuses_a_false_symmetry():
 
 
 def test_transversal_fraction_examples():
-    single = bounds.Hypergraph(3, (frozenset({0, 1}),))
+    single = (frozenset({0, 1}),)
     assert bounds.transversal_fraction_bound(single) == 1
-    g = graphs.gen_petersen(288, 1)
-    h = bounds.bramble_hypergraph(g, bounds.petersen_bramble(288, 1))
-    assert bounds.transversal_fraction_bound(h) == Fraction(288, 73)
+    assert bounds.transversal_fraction_bound(bounds.petersen_bramble(288, 1).sets) == Fraction(288, 73)
     with pytest.raises(ParameterError):
-        bounds.transversal_fraction_bound(bounds.Hypergraph(3, ()))
+        bounds.transversal_fraction_bound(())
 
 
 @pytest.mark.parametrize("n,k", [(5, 2), (7, 2), (8, 3)])
 def test_fraction_bound_below_exact_transversal(n, k):
-    g = graphs.gen_petersen(n, k)
-    h = bounds.bramble_hypergraph(g, bounds.petersen_bramble(n, k))
-    assert bounds.transversal_fraction_bound(h) <= oracles.exact_transversal(h)
+    sets = bounds.petersen_bramble(n, k).sets
+    assert bounds.transversal_fraction_bound(sets) <= oracles.exact_transversal(sets)
+
+
+@pytest.mark.parametrize("bound", [bounds.transversal_fraction_bound, oracles.exact_transversal])
+def test_transversal_bounds_take_any_family_of_sets(bound):
+    # three disjoint pairs: fraction 3/1, transversal number 3
+    assert bound({2 * i, 2 * i + 1} for i in range(3)) == 3
+    assert bound([[0, 1], (2, 3), range(4, 6)]) == 3
+    with pytest.raises(ParameterError):
+        bound([{0, 1}, set()])
 
 
 def test_order_lower_bound():

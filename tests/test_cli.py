@@ -157,6 +157,28 @@ def test_decomp_malformed_graph_is_usage_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["decomp", "--gr", "{tmp}/missing.gr", "--td", "{tmp}/missing.td"],
+        ["suite", "--name", "limits", "--out", "{tmp}/no/such/dir/r.json"],
+    ],
+    ids=["decomp", "suite-out"],
+)
+def test_file_that_cannot_be_opened_is_usage_error(tmp_path, capsys, argv):
+    # exit 1 means an identity failed; a missing file refuses the input
+    assert run([a.format(tmp=tmp_path) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", ["--gr", "--td"])
+def test_decomp_gr_and_td_go_together(tmp_path, capsys, flag):
+    # checked before any file is read, so the named file need not exist
+    assert run(["decomp", "--n", "9", "--k", "2", flag, str(tmp_path / "missing")]) == 2
+    assert "--gr and --td" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "gr, td, line",
     [
         (b"p tw 2 1\n1 2\xff\n", b"s td 1 2 2\nb 1 1 2\n", 2),

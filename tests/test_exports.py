@@ -1,6 +1,7 @@
 """Public name lists of the widthlab modules."""
 
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -20,3 +21,19 @@ def test_all_names_exist_once(name):
 
 def test_every_module_is_listed():
     assert {"bounds", "cli", "decomp", "graphs", "hales", "oracles", "suites", "widthcalc"} <= set(MODULES)
+
+
+EXPORTING = [m for m in MODULES if hasattr(importlib.import_module(f"widthlab.{m}"), "__all__")]
+
+
+@pytest.mark.parametrize("name", EXPORTING)
+def test_every_public_function_and_class_is_listed(name):
+    module = importlib.import_module(f"widthlab.{name}")
+    defined = {
+        n
+        for n, obj in vars(module).items()
+        if not n.startswith("_")
+        and (inspect.isfunction(obj) or inspect.isclass(obj))
+        and obj.__module__ == module.__name__
+    }
+    assert sorted(defined - set(module.__all__)) == []

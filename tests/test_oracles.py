@@ -1,7 +1,9 @@
 """Exhaustive baseline computations and their certificates."""
 
+import functools
 import itertools
 import math
+from types import SimpleNamespace
 
 import pytest
 
@@ -190,18 +192,16 @@ def test_matching_kneser(n, k):
 
 
 def test_transversal_examples():
-    single = bounds.Hypergraph(4, (frozenset({1, 2}),))
+    single = (frozenset({1, 2}),)
     assert oracles.exact_transversal(single) == 1
-    disjoint = bounds.Hypergraph(9, tuple(frozenset({3 * i, 3 * i + 1}) for i in range(3)))
+    disjoint = tuple(frozenset({3 * i, 3 * i + 1}) for i in range(3))
     assert oracles.exact_transversal(disjoint) == 3
-    g = graphs.gen_petersen(5, 2)
-    h = bounds.bramble_hypergraph(g, bounds.petersen_bramble(5, 2))
-    assert oracles.exact_transversal(h) == 3
+    assert oracles.exact_transversal(bounds.petersen_bramble(5, 2).sets) == 3
 
 
 def test_transversal_rejects_empty_edge():
     with pytest.raises(ParameterError):
-        oracles.exact_transversal(bounds.Hypergraph(2, (frozenset(),)))
+        oracles.exact_transversal((frozenset(),))
 
 
 # ----------------------------------------------------------------------
@@ -503,3 +503,95 @@ def test_balanced_separator_matches_reference_on_zoo(g):
 def test_balanced_separator_matches_reference(g):
     for size_cap in range(-1, g.num_vertices + 2):
         assert oracles.min_balanced_separator(g, size_cap) == _min_balanced_separator_reference(g, size_cap), size_cap
+
+
+# ----------------------------------------------------------------------
+# minimum hitting sets: bounded search tree against the branch and bound
+# it replaced and an unpruned exhaustive recursion
+# ----------------------------------------------------------------------
+
+
+def _exact_transversal_reference(hypergraph) -> int:
+    """The branch and bound with a greedy-cover incumbent that exact_transversal replaced."""
+    edges = [frozenset(e) for e in hypergraph.edges]
+    if any(not e for e in edges):
+        raise ParameterError("hyperedges must be non-empty")
+    if not edges:
+        return 0
+    vertices = set().union(*edges)
+    if len(edges) > oracles.TRANSVERSAL_CAP and len(vertices) > oracles.TRANSVERSAL_CAP:
+        raise SizeCapError(
+            f"transversal search capped at {oracles.TRANSVERSAL_CAP} vertices or {oracles.TRANSVERSAL_CAP} edges, "
+            f"got {len(vertices)} and {len(edges)}"
+        )
+
+    def packing_bound(uncovered) -> int:
+        used = set()
+        count = 0
+        for e in sorted(uncovered, key=len):
+            if not (e & used):
+                count += 1
+                used |= e
+        return count
+
+    # greedy cover as the starting incumbent
+    cover = set()
+    remaining = list(edges)
+    while remaining:
+        counts = {}
+        for e in remaining:
+            for v in e:
+                counts[v] = counts.get(v, 0) + 1
+        v = max(sorted(counts), key=lambda u: counts[u])
+        cover.add(v)
+        remaining = [e for e in remaining if v not in e]
+    best = len(cover)
+
+    def branch(size: int, uncovered) -> None:
+        nonlocal best
+        if not uncovered:
+            best = min(best, size)
+            return
+        if size + packing_bound(uncovered) >= best:
+            return
+        pivot = min(uncovered, key=lambda e: (len(e), sorted(e)))
+        for v in sorted(pivot):
+            branch(size + 1, [e for e in uncovered if v not in e])
+
+    branch(0, edges)
+    return best
+
+
+def _hitting_number_brute_force(sets) -> int:
+    """Least hitting-set size with no bound and no order: every hitting set
+    holds some member of any one unhit set, so try each (memoized on the
+    unhit family, which keeps the 25-pair and C25 examples small)."""
+
+    @functools.cache
+    def least(unhit):
+        if not unhit:
+            return 0
+        return 1 + min(least(frozenset(s for s in unhit if v not in s)) for v in next(iter(unhit)))
+
+    return least(frozenset(map(frozenset, sets)))
+
+
+def _cycle_edges(n):
+    return [frozenset({i, (i + 1) % n}) for i in range(n)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.frozensets(st.integers(0, 9), min_size=1), max_size=10))
+@example([])
+@example([frozenset({2 * i, 2 * i + 1}) for i in range(25)])  # tau = 25
+@example(_cycle_edges(25))  # tau = 13
+def test_transversal_matches_reference_and_brute_force(sets):
+    tau = oracles.exact_transversal(sets)
+    assert tau == _exact_transversal_reference(SimpleNamespace(edges=sets))
+    assert tau == _hitting_number_brute_force(sets)
+
+
+def test_transversal_cap():
+    with pytest.raises(SizeCapError):
+        oracles.exact_transversal(_cycle_edges(26))  # 26 sets on 26 vertices
+    assert oracles.exact_transversal(_cycle_edges(25) + [frozenset({0, 12})]) == 13  # 26 sets on 25 vertices
