@@ -44,6 +44,13 @@ def _out_stream(path):
             yield fh
 
 
+def _refuse_ignored(args, route: str, flags) -> None:
+    """Refuse each of ``flags`` that was given although ``route`` does not read it."""
+    ignored = [f"--{flag}" for flag in flags if flag in args.given]
+    if ignored:
+        raise ParameterError(f"{route} does not take {', '.join(ignored)}")
+
+
 def _single(rng: range, flag: str) -> int:
     if len(rng) != 1:
         raise ParameterError(f"--{flag} must be a single value here")
@@ -116,6 +123,7 @@ def _cmd_decomp(args) -> int:
     if bool(args.gr) != bool(args.td):
         raise ParameterError("--gr and --td are given together or not at all")
     if args.gr:
+        _refuse_ignored(args, "decomp --gr/--td", ("n", "k", "mode", "out"))
         g = graphs.read_graph(args.gr)
         d, declared_n = decomp.read_td(args.td)
         if declared_n != g.num_vertices:
@@ -191,6 +199,7 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_oracle(args) -> int:
     if args.gr:
+        _refuse_ignored(args, "oracle --gr", ("family", "t", "q", "n", "k"))
         g = graphs.read_graph(args.gr)
         instance = args.gr
     else:
@@ -261,6 +270,14 @@ def _cmd_table(args) -> int:
     return EXIT_OK
 
 
+class _Given(argparse.Action):
+    """Stores a flag's value and adds the flag's name to ``args.given``."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given = namespace.given | {self.dest}
+
+
 # every flag a subcommand may take; each subcommand declares the ones it reads
 _FLAGS = {
     "t": dict(type=_parse_range, default=range(1, 2)),
@@ -284,8 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
     def command(name, fn, summary, *flags):
         p = sub.add_parser(name, help=summary)
         for flag in flags:
-            p.add_argument(f"--{flag}", **_FLAGS[flag])
-        p.set_defaults(fn=fn)
+            p.add_argument(f"--{flag}", action=_Given, **_FLAGS[flag])
+        p.set_defaults(fn=fn, given=frozenset())
         return p
 
     command("gen", _cmd_gen, "emit a family member in PACE .gr form", "family", "t", "q", "n", "k", "out")

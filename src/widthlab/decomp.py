@@ -29,7 +29,7 @@ import numpy as np
 
 from . import hales
 from .errors import ParameterError, ParseError, PreconditionError, StructuralError
-from .graphs import FamilySpec, Graph, gen_bipartite_kneser, gen_hamming, gen_johnson
+from .graphs import FamilySpec, Graph, _scan_tokens, gen_bipartite_kneser, gen_hamming, gen_johnson
 
 __all__ = [
     "Decomposition",
@@ -447,7 +447,67 @@ def read_td(path):
     not form a tree over the bags raise :class:`StructuralError` when
     the decomposition is validated. The file is read as UTF-8, and a
     byte that is not UTF-8 makes its token malformed on its line.
+
+    Two routes read the file and return the same value. A file of
+    printable ASCII, tabs, LFs and CRs whose numbers are plain runs of
+    at most 18 digits is read by one byte scan
+    (:func:`widthlab.graphs._scan_tokens`), which runs every check above
+    as array tests and builds the bag arrays directly; it holds the
+    file's bytes and a few bytes of arrays per byte and per token. Any
+    other file, and every file with a fault, is read by the line loop,
+    which holds one line at a time plus a Python list per bag, and
+    raises each error reported here.
     """
+    with open(path, "rb") as fh:
+        result = _scan_td(fh.read())
+    return _read_td_lines(path) if result is None else result
+
+
+def _scan_td(data: bytes):
+    """:func:`read_td`'s value for ``data``, or None where its line loop must decide.
+
+    Runs every check of the line loop and returns None on any fault,
+    never raising :class:`ParseError` itself.
+    """
+    tok = _scan_tokens(data)
+    if tok is None:
+        return None
+    comment = tok.first_byte(tok.head) == ord("c")
+    head, size = tok.head[~comment], tok.size[~comment]
+    # the first line that is not a comment is the one solution line, every later one a bag or an edge line
+    if not len(head) or size[0] != 5 or tok.text(head[0]) != "s" or tok.text(head[0] + 1) != "td":
+        return None
+    nbags, maxbag, nverts = tok.value[head[0] + 2 : head[0] + 5].tolist()
+    head, size = head[1:], size[1:]
+    if min(nbags, maxbag, nverts) < 0 or tok.equals(head, "s").any():
+        return None
+    bag = tok.equals(head, "b")
+    first, sizes = head[bag] + 2, size[bag] - 2  # a bag's members are its tokens first .. first + sizes - 1
+    if len(first) != nbags or (sizes < 0).any() or (sizes > maxbag).any() or (size[~bag] != 2).any():
+        return None
+    inside = np.zeros(len(tok.value) + 1, dtype=np.int8)
+    inside[first] = 1
+    inside[first + sizes] -= 1
+    flat = tok.value[np.cumsum(inside[:-1], dtype=np.int8).view(bool)]
+    ends = np.column_stack([tok.value[head[~bag]], tok.value[head[~bag] + 1]])
+    if flat.size and (flat.min() < 1 or flat.max() > nverts) or ends.size and (ends.min() < 1 or ends.max() > nbags):
+        return None
+    ids = tok.value[first - 1]
+    offsets = np.zeros(nbags + 1, dtype=np.int64)
+    np.cumsum(sizes, out=offsets[1:])
+    if not np.array_equal(ids, np.arange(1, nbags + 1)):  # the bags are not in id order
+        order = np.argsort(ids)
+        if not np.array_equal(ids[order], np.arange(1, nbags + 1)):
+            return None
+        flat = np.concatenate([flat[offsets[i] : offsets[i + 1]] for i in order])
+        np.cumsum(sizes[order], out=offsets[1:])
+    flat -= 1
+    ends -= 1
+    return Decomposition(flat, offsets, ends), nverts
+
+
+def _read_td_lines(path):
+    """The line loop of :func:`read_td`: the route for every file the byte scan declines."""
     header = None
     bags = {}  # bag id -> 0-based vertex ids
     ends = []  # 0-based bag-tree edge ends

@@ -23,6 +23,7 @@ import ast
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -354,6 +355,150 @@ def _label(text: str):
     return ast.literal_eval(text)
 
 
+# the longest number token the scan reads; every 18-digit number fits int64
+_NUMBER_DIGITS = 18
+
+
+class _Tokens(NamedTuple):
+    """The tokens of one file in file order, grouped by the lines that hold them."""
+
+    data: bytes
+    start: np.ndarray  # byte offset of each token
+    end: np.ndarray  # byte offset just past each token
+    value: np.ndarray  # int64 value of each number token, -1 for any other token
+    head: np.ndarray  # index of the first token of each line that holds one
+    size: np.ndarray  # number of tokens on each of those lines
+
+    def first_byte(self, i) -> np.ndarray:
+        return np.frombuffer(self.data, dtype=np.uint8)[self.start[i]]
+
+    def equals(self, i: np.ndarray, word: str) -> np.ndarray:
+        """Which of the tokens ``i`` are exactly ``word``."""
+        b = np.frombuffer(self.data, dtype=np.uint8)
+        start = self.start[i]
+        hit = self.end[i] - start == len(word)
+        for j, char in enumerate(word.encode()):
+            hit[hit] = b[start[hit] + j] == char
+        return hit
+
+    def text(self, i: int) -> str:
+        return self.data[self.start[i] : self.end[i]].decode("ascii")
+
+
+def _runs(mask: np.ndarray):
+    """Start and end offsets, as int32, of the runs of True in a bool array."""
+    bounds = np.flatnonzero(np.diff(mask, prepend=False, append=False)).astype(np.int32)
+    return bounds[0::2], bounds[1::2]
+
+
+def _scan_tokens(data: bytes):
+    """The tokens and lines that the line loops of the readers see in ``data``, or None.
+
+    Only a file under 2 GiB whose bytes are all printable ASCII, tab, LF
+    or CR is scanned; any other file, and one without a token, gives
+    None. In such a file ``str.split()`` splits on exactly space, tab,
+    LF and CR, and universal newlines end a line at every LF and every
+    CR (a CRLF ends a line and an empty one, which holds no token), so
+    the tokens and their lines are the ones the line loops see. A number
+    token is 1 to 18 ASCII digits, so its value fits int64; ``int``
+    reads any other token differently (``+3``, ``1_0``) or not at all,
+    so a reader declines a file that needs one. Per byte the scan holds
+    uint8 and bool arrays only, and per token int32 offsets and an int64
+    value.
+    """
+    b = np.frombuffer(data, dtype=np.uint8)
+    if len(b) >= 2**31 or (b > 126).any():
+        return None
+    control = np.flatnonzero(b < 32)
+    kind = b[control]
+    if not ((kind == 9) | (kind == 10) | (kind == 13)).all():
+        return None
+    start, end = _runs(b > 32)
+    if not len(start):
+        return None
+    opens = np.zeros(len(start) + 1, dtype=bool)  # the first token after each LF or CR opens a line
+    opens[np.searchsorted(start, control[kind != 9].astype(np.int32))] = True
+    opens[0] = True
+    head = np.flatnonzero(opens[:-1])
+    size = np.diff(head, append=len(start))
+    # a token that holds a byte other than a digit is no number token
+    number = end - start <= _NUMBER_DIGITS
+    other, _ = _runs((b > 32) & ((b < ord("0")) | (b > ord("9"))))
+    number[np.searchsorted(start, other, side="right") - 1] = False
+    # the parser would read a text of blanks only as one 0
+    parsed = np.fromstring(_number_digits(b, start, number), dtype=np.int64, sep=" ") if number.any() else []
+    value = np.full(len(start), -1, dtype=np.int64)
+    value[number] = parsed
+    return _Tokens(data, start, end, value, head, size)
+
+
+def _number_digits(b: np.ndarray, start: np.ndarray, number: np.ndarray) -> np.ndarray:
+    """A copy of the bytes ``b`` that blanks all but the digits of the number tokens.
+
+    A closing blank is appended, so the number parser stops inside the
+    copy: an array, unlike a bytes object, has no closing NUL.
+    """
+    owned = np.diff(start, append=len(b)).astype(np.intp)  # token i owns the bytes up to token i + 1
+    owned[0] += start[0]  # and token 0 also those before it
+    digits = np.full(len(b) + 1, ord(" "), dtype=np.uint8)
+    np.copyto(digits[:-1], b, where=np.repeat(number, owned) & (b > 32))
+    return digits
+
+
+def _repeats(a: np.ndarray) -> bool:
+    a = np.sort(a)
+    return bool((a[1:] == a[:-1]).any())
+
+
+def _scan_graph(data: bytes):
+    """:func:`read_graph`'s value for ``data``, or None where its line loop must decide.
+
+    Runs every check of the line loop and returns None on any fault,
+    never raising :class:`ParseError` itself.
+    """
+    tok = _scan_tokens(data)
+    if tok is None:
+        return None
+    comment = tok.first_byte(tok.head) == ord("c")
+    head, size = tok.head[~comment], tok.size[~comment]
+    # the first line that is not a comment is the one problem line, every later one an edge line
+    lead = tok.first_byte(head)
+    if not len(head) or lead[0] != ord("p") or (lead[1:] == ord("p")).any():
+        return None
+    if size[0] != 4 or tok.text(head[0] + 1) != "tw":
+        return None
+    nverts, medges = tok.value[head[0] + 2 : head[0] + 4].tolist()
+    if min(nverts, medges) < 0 or nverts > MAX_VERTICES or len(head) - 1 != medges or (size[1:] != 2).any():
+        return None
+    ends = np.column_stack([tok.value[head[1:]], tok.value[head[1:] + 1]])
+    lo, hi = ends.min(axis=1), ends.max(axis=1)
+    if medges and (lo.min() < 1 or hi.max() > nverts or (lo == hi).any()):
+        return None
+    if _repeats(lo * (nverts + 1) + hi):
+        return None
+    # label comments: 'c... label <v> <literal>', the literal running to the end of its line
+    long_comment = comment & (tok.size >= 4)
+    first, last = tok.head[long_comment], tok.head[long_comment] + tok.size[long_comment] - 1
+    named = tok.equals(first + 1, "label")
+    first, last = first[named], last[named]
+    if not len(first):
+        return Graph(nverts, ends - 1)
+    vertex = tok.value[first + 2]
+    if vertex.min() < 1 or vertex.max() > nverts or _repeats(vertex):
+        return None
+    text = data.decode("ascii")
+    labels = list(range(nverts))
+    for v, a, z in zip(vertex.tolist(), tok.start[first + 3].tolist(), tok.end[last].tolist()):
+        try:
+            labels[v - 1] = _label(text[a:z])
+            hash(labels[v - 1])
+        except (ValueError, SyntaxError, TypeError):
+            return None
+    if len(set(labels)) != nverts:
+        return None
+    return Graph(nverts, ends - 1, labels=labels)
+
+
 def read_graph(path) -> Graph:
     """Parse a PACE .gr file written by :func:`write_graph` (or plain ones).
 
@@ -374,7 +519,24 @@ def read_graph(path) -> Graph:
     Labels in ``c label <v> <literal>`` comments are Python literals
     (ints, strs and tuples of them), read as :func:`ast.literal_eval`
     reads them.
+
+    Two routes read the file and return the same graph. A file of
+    printable ASCII, tabs, LFs and CRs whose numbers are plain runs of
+    at most 18 digits is read by one byte scan (:func:`_scan_tokens`),
+    which checks the edge lines as arrays and sends only the label
+    comments through Python; it holds the file's bytes and a few bytes
+    of arrays per byte and per token. Any other file, and every file
+    with a fault, is read by the line loop, which holds one line at a
+    time plus a Python tuple per edge, and raises each error reported
+    here.
     """
+    with open(path, "rb") as fh:
+        g = _scan_graph(fh.read())
+    return _read_graph_lines(path) if g is None else g
+
+
+def _read_graph_lines(path) -> Graph:
+    """The line loop of :func:`read_graph`: the route for every file the byte scan declines."""
     nverts = None
     medges = None
     header_line = None

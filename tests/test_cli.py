@@ -179,6 +179,32 @@ def test_decomp_gr_and_td_go_together(tmp_path, capsys, flag):
 
 
 @pytest.mark.parametrize(
+    "flag", [["--n", "9"], ["--k", "2"], ["--mode", "repaired"], ["--out", "z.td"]], ids=["n", "k", "mode", "out"]
+)
+def test_decomp_file_route_refuses_construction_flags(tmp_path, capsys, flag):
+    # refused when given at all, even at its default value
+    gr, td = tmp_path / "g.gr", tmp_path / "t.td"
+    gr.write_text("p tw 2 1\n1 2\n")
+    td.write_text("s td 1 2 2\nb 1 1 2\n")
+    flag = [a.replace("z.td", str(tmp_path / "z.td")) for a in flag]
+    assert run(["decomp", "--gr", str(gr), "--td", str(td), *flag]) == 2
+    assert capsys.readouterr().err == f"error: decomp --gr/--td does not take {flag[0]}\n"
+    assert not (tmp_path / "z.td").exists()
+
+
+@pytest.mark.parametrize(
+    "flag",
+    [["--family", "petersen"], ["--t", "2"], ["--q", "3"], ["--n", "5"], ["--k", "1"]],
+    ids=["family", "t", "q", "n", "k"],
+)
+def test_oracle_file_route_refuses_family_flags(tmp_path, capsys, flag):
+    gr = tmp_path / "g.gr"
+    gr.write_text("p tw 3 2\n1 2\n2 3\n")
+    assert run(["oracle", "--gr", str(gr), "--what", "tw", *flag]) == 2
+    assert capsys.readouterr().err == f"error: oracle --gr does not take {flag[0]}\n"
+
+
+@pytest.mark.parametrize(
     "gr, td, line",
     [
         (b"p tw 2 1\n1 2\xff\n", b"s td 1 2 2\nb 1 1 2\n", 2),

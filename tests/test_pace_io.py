@@ -265,6 +265,48 @@ def test_write_td_bytes_match_reference_on_any_ids(tmp_path_factory, bags, tree,
 
 
 # ----------------------------------------------------------------------
+# readers: what the writers write takes the byte scan
+# ----------------------------------------------------------------------
+
+
+@pytest.fixture
+def scan_only(monkeypatch):
+    """The line loops raise, so a file the byte scan declines fails the test."""
+
+    def refuse(path):
+        raise AssertionError(f"the byte scan declined {path}")
+
+    monkeypatch.setattr(graphs, "_read_graph_lines", refuse)
+    monkeypatch.setattr(decomp, "_read_td_lines", refuse)
+
+
+def _assert_td_round_trip(d, num_vertices, path):
+    decomp.write_td(d, num_vertices, path)
+    back, declared = decomp.read_td(path)
+    assert declared == num_vertices
+    assert back.flat.tolist() == d.flat.tolist() and back.offsets.tolist() == d.offsets.tolist()
+    assert back.tree_edges.tolist() == d.shape_edges().tolist()
+
+
+@pytest.mark.parametrize("name", sorted(GRAPHS))
+def test_written_graph_takes_the_scan(tmp_path, scan_only, name):
+    graphs.write_graph(GRAPHS[name], tmp_path / "g.gr")
+    assert _graph_value(graphs.read_graph(tmp_path / "g.gr")) == _graph_value(GRAPHS[name])
+
+
+@pytest.mark.parametrize("name", sorted(DECOMPOSITIONS))
+def test_written_td_takes_the_scan(tmp_path, scan_only, name):
+    _assert_td_round_trip(DECOMPOSITIONS[name], 20, tmp_path / "d.td")
+
+
+def test_large_round_trip_takes_the_scan(tmp_path, scan_only):
+    g = graphs.gen_petersen(3149, 5)
+    graphs.write_graph(g, tmp_path / "g.gr")
+    assert _graph_value(graphs.read_graph(tmp_path / "g.gr")) == _graph_value(g)
+    _assert_td_round_trip(decomp.petersen_pd(3149, 5), g.num_vertices, tmp_path / "d.td")
+
+
+# ----------------------------------------------------------------------
 # readers: fuzzed against the reference
 # ----------------------------------------------------------------------
 
@@ -426,6 +468,15 @@ def _assert_same_graph_or_cap(path):
 @example("c label 1 'a'\nc label 2 'a'\np tw 1048577 1\n1 2\n")  # the cap comes before the whole-file checks
 @example("c label 1 'a'\nc label 1 'b'\np tw 999999999999 0\n")  # an earlier line's error comes first
 @example("p tw 3 0\np tw 1048577 0\n")  # a second header is refused as one
+@example("c label 1 'a'\rp tw 3 2\r1 2\r\r2 3\r")  # CR-only line breaks
+@example("c label 1 'a'\r\np tw 3 2\r\n1 2\r\n2 3\r\n")  # CRLF throughout
+@example("p tw 3 1\n1\x0b2\n")  # str.split() splits on \x0b and \x0c, universal newlines do not
+@example("p tw 3 1\x0c\n1 3\n")
+@example("p tw 3 1\n1 " + "0" * 17 + "2\n")  # an 18-digit token
+@example("p tw 3 1\n1 " + "0" * 18 + "2\n")  # a 19-digit token
+@example("c made by \u00e9\np tw 2 1\n1 2\n")  # a non-ASCII byte inside a comment
+@example("c only\nc label 1 'a'\n")  # comments only
+@example("")
 def test_read_graph_matches_reference(tmp_path_factory, text):
     path = tmp_path_factory.getbasetemp() / "fuzz.gr"
     path.write_bytes(text.encode())
@@ -453,6 +504,15 @@ def test_read_td_matches_reference(tmp_path_factory, td_bases):
     @example("s td 1 2 3\nb 1 \u0663 +3\n")
     @example("s td 1 2 3\nb 1 0 x\n")  # malformed beats out of range
     @example("s td 2 1 3\nb 1 1\nb 1 4\n")  # a repeated bag id beats out of range
+    @example("s td 2 2 3\rb 1 1 2\r\rb 2 2 3\r1 2\r")  # CR-only line breaks
+    @example("s td 2 2 3\r\nb 1 1 2\r\nb 2 2 3\r\n1 2\r\n")  # CRLF throughout
+    @example("s td 1 2 3\nb 1 1\x0b2\n")  # str.split() splits on \x0b and \x0c, universal newlines do not
+    @example("s td 1 2 3\x0c\nb 1 3\n")
+    @example("s td 1 2 3\nb " + "0" * 17 + "1 2\n")  # an 18-digit token
+    @example("s td 1 2 3\nb " + "0" * 18 + "1 2\n")  # a 19-digit token
+    @example("c made by \u00e9\ns td 1 2 3\nb 1 1 2\n")  # a non-ASCII byte inside a comment
+    @example("c only\nc s td 1 2 3\n")  # comments only
+    @example("")
     def check(text):
         path.write_bytes(text.encode())
         _assert_same(decomp.read_td, _read_td_ref, _td_value, path)
