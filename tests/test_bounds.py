@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -11,8 +12,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from widthlab import bounds, graphs, oracles
-from widthlab.errors import HypothesisError, ParameterError, PreconditionError, SizeCapError, StructuralError
+from widthlab import bounds, graphs, oracles, suites
+from widthlab.errors import (
+    HypothesisError,
+    ParameterError,
+    PreconditionError,
+    SizeCapError,
+    StructuralError,
+    UndefinedValueError,
+)
 
 # ----------------------------------------------------------------------
 # reference bramble validator: packed uint64 rows, numpy closure and
@@ -394,6 +402,133 @@ def test_moments_deeper():
     assert bounds.verify_spectrum_moments(g, bounds.bk_spectrum(3), 8).ok
 
 
+# ----------------------------------------------------------------------
+# reference moment check: dense matrix powers (the implementation the
+# CSR column-block kernel replaced)
+# ----------------------------------------------------------------------
+
+
+def _moments_reference(g, spectrum, p_max):
+    n = g.num_vertices
+    bound = n * max(g.max_degree(), 1) ** p_max
+    dtype = np.int64 if bound < 2**62 else object
+    adj = g.adjacency_matrix(dtype=dtype)
+    power = np.eye(n, dtype=dtype)
+    for p in range(p_max + 1):
+        trace = int(np.trace(power))
+        moment = sum(mult * lam**p for lam, mult in spectrum.pairs)
+        if trace != moment:
+            return bounds.MomentReport(False, failed_p=p, expected=trace, actual=moment)
+        if p < p_max:
+            power = power @ adj
+    return bounds.MomentReport(True)
+
+
+def _k4_plus_isolated(at):
+    """K_4 on four of the ids 0..4, and vertex ``at`` isolated."""
+    return graphs.Graph(5, list(itertools.combinations([v for v in range(5) if v != at], 2)))
+
+
+_PETERSEN_SPECTRUM = bounds.Spectrum(((3, 1), (1, 5), (-2, 4)))
+_FALSE_BK7 = bounds.Spectrum(((4, 1), (3, 5), (2, 20), (0, 15), (-1, 9), (-2, 10), (-3, 10)))
+_K4_PLUS_POINT = bounds.Spectrum(((3, 1), (0, 1), (-1, 3)))
+_FALSE_FIVE = bounds.Spectrum(((2, 1), (1, 1), (0, 1), (-1, 1), (-2, 1)))  # right p = 0, 1; wrong p = 2
+_MOMENT_CASES = {
+    **{f"BK({2 * k + 1},{k})": (lambda k=k: graphs.gen_bipartite_kneser(2 * k + 1, k), bounds.bk_spectrum(k)) for k in range(1, 5)},
+    "BK(7,3) false": (lambda: graphs.gen_bipartite_kneser(7, 3), _FALSE_BK7),
+    "GP(5,2)": (lambda: graphs.gen_petersen(5, 2), _PETERSEN_SPECTRUM),
+    **{f"K4 isolated {at}": (lambda at=at: _k4_plus_isolated(at), _K4_PLUS_POINT) for at in (0, 2, 4)},
+    **{f"K4 isolated {at} false": (lambda at=at: _k4_plus_isolated(at), _FALSE_FIVE) for at in (0, 2, 4)},
+    "edgeless": (lambda: graphs.Graph(6, []), bounds.Spectrum(((0, 6),))),
+    "edgeless false": (lambda: graphs.Graph(5, []), _FALSE_FIVE),
+    "empty": (lambda: graphs.Graph(0, []), bounds.Spectrum(())),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MOMENT_CASES))
+def test_moment_kernel_matches_reference(case):
+    make, spectrum = _MOMENT_CASES[case]
+    g = make()
+    for p_max in range(2, 13):
+        assert bounds.verify_spectrum_moments(g, spectrum, p_max) == _moments_reference(g, spectrum, p_max), p_max
+
+
+def test_moment_kernel_matches_reference_on_python_ints():
+    k30 = graphs.Graph(30, list(itertools.combinations(range(30), 2)))
+    assert 30 * 29**14 >= 2**62  # the object-array route
+    true, false = bounds.Spectrum(((29, 1), (-1, 29))), bounds.Spectrum(((29, 1), (-1, 27), (-2, 1), (0, 1)))
+    assert bounds.verify_spectrum_moments(k30, true, 14) == _moments_reference(k30, true, 14) == bounds.MomentReport(True)
+    report = bounds.verify_spectrum_moments(k30, false, 14)
+    assert report == _moments_reference(k30, false, 14) and report.failed_p == 2
+
+
+@st.composite
+def moment_cases(draw):
+    """A random graph on n <= 30 vertices, an integer spectrum and p_max in 2..12.
+
+    A third of the graphs are unions of cliques (isolated vertices
+    among them) on shuffled ids, with their true spectrum. The others
+    get +-pairs padded to n eigenvalues, which pass p = 0 and 1, or
+    arbitrary eigenvalues.
+    """
+    kind = draw(st.sampled_from(["cliques", "pairs", "arbitrary"]))
+    if kind == "cliques":
+        sizes = draw(st.lists(st.integers(1, 8), max_size=6))
+        ids = draw(st.permutations(range(sum(sizes))))
+        starts = np.cumsum([0] + sizes)
+        edges = [(ids[a + i], ids[a + j]) for a, size in zip(starts, sizes) for i, j in itertools.combinations(range(size), 2)]
+        eigs = [lam for size in sizes for lam in [size - 1] + [-1] * (size - 1)]
+        return graphs.Graph(len(ids), edges), bounds.Spectrum(tuple(Counter(eigs).items())), draw(st.integers(2, 12))
+    n = draw(st.integers(0, 30))
+    g = _random_graph(n, draw(st.lists(st.integers(0, 434), max_size=60)))
+    if kind == "pairs":
+        half = draw(st.lists(st.integers(-4, 4), min_size=n // 2, max_size=n // 2))
+        eigs = half + [-lam for lam in half] + [0] * (n % 2)
+    else:
+        eigs = draw(st.lists(st.integers(-6, 6), max_size=31))
+    return g, bounds.Spectrum(tuple(Counter(eigs).items())), draw(st.integers(2, 12))
+
+
+@settings(max_examples=200, deadline=None)
+@given(moment_cases())
+def test_moment_kernel_matches_reference_on_random_graphs(case):
+    g, spectrum, p_max = case
+    assert bounds.verify_spectrum_moments(g, spectrum, p_max) == _moments_reference(g, spectrum, p_max)
+
+
+def test_moments_pass_the_false_bk7_spectrum_up_to_p4():
+    # the documented hole (ROADMAP item 3): four moments do not certify a spectrum
+    g = graphs.gen_bipartite_kneser(7, 3)
+    assert bounds.verify_spectrum_moments(g, _FALSE_BK7, 4) == bounds.MomentReport(True)
+    report = bounds.verify_spectrum_moments(g, _FALSE_BK7, 6)
+    assert report == bounds.MomentReport(False, failed_p=5, expected=0, actual=120)
+
+
+def test_moment_kernel_gathers_within_its_budget(monkeypatch):
+    sizes, take = [], np.take
+
+    def recording_take(a, indices, axis=None):
+        sizes.append(len(indices) * a.shape[1])
+        return take(a, indices, axis=axis)
+
+    monkeypatch.setattr(np, "take", recording_take)
+    k400 = graphs.Graph(400, list(itertools.combinations(range(400), 2)))  # dense, at the cap
+    assert bounds.verify_spectrum_moments(k400, bounds.Spectrum(((399, 1), (-1, 399))), 4).ok
+    assert bounds.verify_spectrum_moments(graphs.gen_bipartite_kneser(9, 4), bounds.bk_spectrum(4), 10).ok
+    assert sizes and max(sizes) <= bounds.MOMENT_BLOCK_ENTRIES
+
+
+def test_moment_check_builds_no_dense_matrix(monkeypatch):
+    def refuse(self, dtype=np.int64):
+        raise AssertionError("dense adjacency matrix built")
+
+    monkeypatch.setattr(graphs.Graph, "adjacency_matrix", refuse)
+    assert bounds.verify_spectrum_moments(graphs.gen_bipartite_kneser(9, 4), bounds.bk_spectrum(4), 10).ok
+    records = suites.run_suite(suites.SuiteConfig("spectrum", params={"k_max": 4}))  # in process
+    assert "spectrum k=4 moments" in {r.instance for r in records}
+    assert suites.suite_passed(records)
+
+
 def test_spectral_lower_bound_examples():
     g = graphs.gen_bipartite_kneser(5, 2)
     assert bounds.spectral_lower_bound(g, bounds.bk_spectrum(2)) == 2
@@ -411,6 +546,13 @@ def test_spectral_lower_bound_preconditions():
     wrong = bounds.Spectrum(((3, 1), (-3, 1), (2, 4), (-2, 4), (1, 6), (-1, 4)))
     with pytest.raises(PreconditionError):
         bounds.spectral_lower_bound(g, wrong)
+
+
+@pytest.mark.parametrize("n,pairs", [(1, ((0, 1),)), (0, ())])
+def test_spectral_lower_bound_needs_two_vertices(n, pairs):
+    # no second eigenvalue, so no spectral gap
+    with pytest.raises(UndefinedValueError):
+        bounds.spectral_lower_bound(graphs.Graph(n, []), bounds.Spectrum(pairs))
 
 
 def test_bk_spectral_lb_values():
