@@ -22,8 +22,8 @@ blocks X = A^m[:, C] for m up to ceil(p_max/2): each step X -> A X sums
 neighbour rows over the graph's CSR, and since A is symmetric,
 tr(A^2m) = sum X*X and tr(A^(2m+1)) = sum X*(A X) over all blocks. That
 is O(n^2 * deg * ceil(p_max/2)) time, and the block width is set so one
-step gathers at most ``MOMENT_BLOCK_ENTRIES`` (2^18) entries, instead of
-n^2 per dense power. Entries are int64 when the path-count bound
+step gathers at most ``MOMENT_BLOCK_ENTRIES`` (2^18) entries; no dense
+power is formed. Entries are int64 when the path-count bound
 n * deg^p_max is below 2^62 and python ints (object arrays) otherwise,
 through the same kernel.
 The moment match is only a necessary condition, not a certificate:
@@ -308,8 +308,7 @@ def verify_spectrum_moments(g: Graph, spectrum: Spectrum, p_max: int) -> MomentR
     The traces come from column blocks of A^m, m <= ceil(p_max/2), each
     step a sum of neighbour rows over the CSR (module docstring):
     O(n^2 * deg * ceil(p_max/2)) time and at most ``MOMENT_BLOCK_ENTRIES``
-    gathered entries per step, where dense powers took O(n^3) time and
-    n^2 entries per p. Runs in int64 when the path-count bound
+    gathered entries per step. Runs in int64 when the path-count bound
     n * deg^p_max is below 2^62, otherwise in python integers (object
     arrays) through the same kernel, so every compared moment is exact.
     The report names the first failing p. A pass is still only a
@@ -344,7 +343,8 @@ def spectral_lower_bound(g: Graph, spectrum: Spectrum, p_max: int = 4) -> int:
 
     The spectrum is re-checked against the trace moments up to p_max
     before use (a necessary condition only); non-regular graphs and
-    mismatching spectra are refused.
+    mismatching spectra are refused. A graph with fewer than two
+    vertices has no second eigenvalue, so its bound is undefined.
     """
     if not g.is_regular():
         raise PreconditionError("spectral bound needs a regular graph")
