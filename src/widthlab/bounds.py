@@ -43,7 +43,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import HypothesisError, ParameterError, PreconditionError, SizeCapError, StructuralError, UndefinedValueError
-from .graphs import Graph
+from .graphs import Graph, _component
 from .widthcalc import binom_ext
 
 __all__ = [
@@ -118,15 +118,7 @@ def _mask_and_closure(s, n: int, nbrs: list, single: list) -> tuple:
 
 def _connected(bits: int, nbrs: list) -> bool:
     """Whether the set bitmask is non-empty and induces a connected subgraph."""
-    stack = bits & -bits  # flood from the lowest member
-    rest = bits ^ stack  # members not reached yet
-    while stack:
-        b = stack & -stack
-        stack ^= b
-        grow = nbrs[b.bit_length() - 1] & rest
-        rest ^= grow
-        stack |= grow
-    return bool(bits) and not rest
+    return bool(bits) and _component(nbrs, bits & -bits, bits) == bits
 
 
 def validate_bramble(g: Graph, bramble: Bramble) -> BrambleReport:
@@ -338,10 +330,10 @@ def spectral_bound_value(num_vertices: int, degree: int, lambda2: int) -> int:
     return math.floor(value) - 1
 
 
-def spectral_lower_bound(g: Graph, spectrum: Spectrum, p_max: int = 4) -> int:
+def spectral_lower_bound(g: Graph, spectrum: Spectrum) -> int:
     """Treewidth lower bound from the spectral gap of a regular graph.
 
-    The spectrum is re-checked against the trace moments up to p_max
+    The spectrum is re-checked against the trace moments for p <= 4
     before use (a necessary condition only); non-regular graphs and
     mismatching spectra are refused. A graph with fewer than two
     vertices has no second eigenvalue, so its bound is undefined.
@@ -353,7 +345,7 @@ def spectral_lower_bound(g: Graph, spectrum: Spectrum, p_max: int = 4) -> int:
         raise PreconditionError("spectrum multiplicities do not sum to the vertex count")
     if g.num_vertices < 2:
         raise UndefinedValueError("spectral gap needs at least two vertices")
-    report = verify_spectrum_moments(g, spectrum, p_max)
+    report = verify_spectrum_moments(g, spectrum, 4)
     if not report.ok:
         raise PreconditionError(f"spectrum fails the moment check at p={report.failed_p}")
     top = spectrum.sorted_pairs()[0][0]

@@ -57,15 +57,19 @@ def _single(rng: range, flag: str) -> int:
     return rng[0]
 
 
+def _spec(args) -> graphs.FamilySpec:
+    """The family member that --family, --t, --q, --n and --k name."""
+    return graphs.FamilySpec(args.family, **{flag: _single(getattr(args, flag), flag) for flag in ("t", "q", "n", "k")})
+
+
+def _write_json(payload, out) -> None:
+    with _out_stream(out) as fh:
+        json.dump(payload, fh, indent=1)
+        fh.write("\n")
+
+
 def _cmd_gen(args) -> int:
-    spec = graphs.FamilySpec(
-        args.family,
-        t=_single(args.t, "t"),
-        q=_single(args.q, "q"),
-        n=_single(args.n, "n"),
-        k=_single(args.k, "k"),
-    )
-    g = graphs.generate(spec)
+    g = graphs.generate(_spec(args))
     if args.out is None:
         graphs.dump_graph(g, sys.stdout)
     else:
@@ -166,9 +170,7 @@ def _cmd_bramble(args) -> int:
     except HypothesisError as exc:
         payload["order_lower_bound"] = None
         payload["order_bound_note"] = str(exc)
-    with _out_stream(args.out) as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
+    _write_json(payload, args.out)
     return EXIT_OK if report.ok else EXIT_MISMATCH
 
 
@@ -191,9 +193,7 @@ def _cmd_spectrum(args) -> int:
     else:
         payload["moments_ok"] = None
         payload["note"] = "graph too large for the moment check; closed form only"
-    with _out_stream(args.out) as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
+    _write_json(payload, args.out)
     return EXIT_OK if payload["moments_ok"] in (True, None) else EXIT_MISMATCH
 
 
@@ -203,13 +203,7 @@ def _cmd_oracle(args) -> int:
         g = graphs.read_graph(args.gr)
         instance = args.gr
     else:
-        spec = graphs.FamilySpec(
-            args.family,
-            t=_single(args.t, "t"),
-            q=_single(args.q, "q"),
-            n=_single(args.n, "n"),
-            k=_single(args.k, "k"),
-        )
+        spec = _spec(args)
         g = graphs.generate(spec)
         instance = f"{args.family} t={spec.t} q={spec.q} n={spec.n} k={spec.k}"
     what = args.what
@@ -230,9 +224,7 @@ def _cmd_oracle(args) -> int:
     else:
         raise ParameterError(f"unknown oracle {what!r}")
     payload = {"instance": instance, "oracle": what, "value": value, "certificate": cert}
-    with _out_stream(args.out) as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
+    _write_json(payload, args.out)
     return EXIT_OK
 
 

@@ -454,9 +454,9 @@ def read_td(path):
     (:func:`widthlab.graphs._scan_tokens`), which runs every check above
     as array tests and builds the bag arrays directly; it holds the
     file's bytes and a few bytes of arrays per byte and per token. Any
-    other file, and every file with a fault, is read by the line loop,
-    which holds one line at a time plus a Python list per bag, and
-    raises each error reported here.
+    other file, one whose bag lines are not in id order, and every file
+    with a fault, is read by the line loop, which holds one line at a
+    time plus a Python list per bag, and raises each error reported here.
     """
     with open(path, "rb") as fh:
         result = _scan_td(fh.read())
@@ -492,15 +492,10 @@ def _scan_td(data: bytes):
     ends = np.column_stack([tok.value[head[~bag]], tok.value[head[~bag] + 1]])
     if flat.size and (flat.min() < 1 or flat.max() > nverts) or ends.size and (ends.min() < 1 or ends.max() > nbags):
         return None
-    ids = tok.value[first - 1]
+    if not np.array_equal(tok.value[first - 1], np.arange(1, nbags + 1)):  # bags out of id order go to the line loop
+        return None
     offsets = np.zeros(nbags + 1, dtype=np.int64)
     np.cumsum(sizes, out=offsets[1:])
-    if not np.array_equal(ids, np.arange(1, nbags + 1)):  # the bags are not in id order
-        order = np.argsort(ids)
-        if not np.array_equal(ids[order], np.arange(1, nbags + 1)):
-            return None
-        flat = np.concatenate([flat[offsets[i] : offsets[i + 1]] for i in order])
-        np.cumsum(sizes[order], out=offsets[1:])
     flat -= 1
     ends -= 1
     return Decomposition(flat, offsets, ends), nverts

@@ -33,10 +33,6 @@ class HypothesisError(WidthLabError):
     """A bound's hypothesis is not met, so the bound is not claimed."""
 
 
-class InfeasibleError(WidthLabError):
-    """No feasible parameter pair exists for a continuous bound."""
-
-
 class ParseError(WidthLabError):
     """A PACE-format file is malformed; carries the offending line number."""
 

@@ -10,8 +10,10 @@ graphs in slice order, so the graph's adjacency matrix under the
 identity ordering is directly the structured matrix studied elsewhere
 in the package. The Hamming (every q) and Johnson edges come from one
 builder that changes up to t digits of every word and looks the
-results up among the vertex words (:func:`_edges_by_digit_changes`).
-Generated and read graphs have at most :data:`MAX_VERTICES` vertices.
+results up among the vertex words (:func:`_edges_by_digit_changes`),
+the bipartite Kneser edges from each k-subset's supersets. Generated and
+read graphs have at most :data:`MAX_VERTICES` vertices; every generator's
+memory grows with its edges.
 
 Graphs are immutable after construction and safe to share across
 workers.
@@ -158,6 +160,19 @@ class Graph:
         return f"Graph(n={self.n}, m={self.num_edges})"
 
 
+def _component(masks: list, seed: int, within: int) -> int:
+    """The members of the bitmask ``within`` that the bitmask ``seed`` reaches inside it; ``masks[v]`` is v's neighbourhood."""
+    stack = seed & within
+    rest = within ^ stack  # members not reached yet
+    while stack:
+        b = stack & -stack
+        stack ^= b
+        grow = masks[b.bit_length() - 1] & rest
+        rest ^= grow
+        stack |= grow
+    return within ^ rest
+
+
 @dataclass(frozen=True)
 class FamilySpec:
     """Parameter bundle naming one concrete member of a graph family."""
@@ -278,14 +293,18 @@ def gen_johnson(n: int, k: int) -> Graph:
 
 
 def gen_bipartite_kneser(n: int, k: int) -> Graph:
-    """k-subsets versus (n-k)-subsets of [n], adjacent under inclusion."""
+    """k-subsets versus (n-k)-subsets of [n], adjacent under inclusion: each k-subset
+    ORed with each (n-2k)-subset of its absent elements, looked up among the (n-k)-subsets."""
     FamilySpec("bipartite_kneser", n=n, k=k).validate()
     left = hales.slice_order(n, k)
-    right = hales.slice_order(n, n - k)
-    incl = (left[:, None] & ~right[None, :]) == 0
-    ii, jj = np.nonzero(incl)
+    right = hales.slice_order(n, n - k).astype(np.int64)
+    absent = np.nonzero(hales.word_bits(left, n) == 0)[1].reshape(len(left), n - k)  # ascending in each row
+    picks = hales.word_bits(hales.slice_order(n - k, n - 2 * k), n - k).astype(np.int64)
+    supersets = left.astype(np.int64)[:, None] | (np.left_shift(1, absent) @ picks.T)
+    order = np.argsort(right)
+    at = order[np.searchsorted(right, supersets.ravel(), sorter=order)]
     nl = len(left)
-    edges = np.column_stack([ii, jj + nl])
+    edges = np.column_stack([np.repeat(np.arange(nl), len(picks)), at + nl])
     labels = [_subset_label(int(r)) for r in left] + [_subset_label(int(r)) for r in right]
     return Graph(nl + len(right), edges, labels=labels)
 

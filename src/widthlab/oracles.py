@@ -23,7 +23,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import ParameterError, PreconditionError, SizeCapError
-from .graphs import Graph
+from .graphs import Graph, _component
 from .hales import slice_order
 
 __all__ = [
@@ -61,17 +61,12 @@ def _check_cap(name: str, n: int, most: int) -> None:
 
 def _elim_degree(masks, s: int, v: int) -> int:
     """Degree of v when eliminated after the vertex set s (fill-aware)."""
-    comp = 1 << v
-    stack = comp
+    comp = _component(masks, 1 << v, s | 1 << v)
     reach = 0
-    while stack:
-        b = stack & -stack
-        stack ^= b
-        nv = masks[b.bit_length() - 1]
-        reach |= nv
-        grow = nv & s & ~comp
-        comp |= grow
-        stack |= grow
+    while comp:
+        b = comp & -comp
+        comp ^= b
+        reach |= masks[b.bit_length() - 1]
     return (reach & ~(s | (1 << v))).bit_count()
 
 
@@ -271,17 +266,8 @@ def min_balanced_separator(g: Graph, size_cap: int):
         comps = []
         rem = rest
         while rem:
-            seed = rem & -rem
-            comp = seed
-            stack = seed
-            while stack:
-                b = stack & -stack
-                stack ^= b
-                grow = masks[b.bit_length() - 1] & rest & ~comp
-                comp |= grow
-                stack |= grow
-            comps.append(comp)
-            rem &= ~comp
+            comps.append(_component(masks, rem & -rem, rem))
+            rem ^= comps[-1]
         # subset-sum over component sizes: the union of components
         # that first reaches each part size a; need m <= 3a <= 2m
         reachable = {0: 0}

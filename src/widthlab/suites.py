@@ -190,13 +190,15 @@ def _expected_verbatim_gap(n: int, k: int) -> tuple:
     return tuple((j - 1, n + j - 1) for j in range(k + 1, 2 * k))
 
 
-def _job_petersen_pd(n: int, k_max: int) -> list:
+def _job_petersen(n: int, k_max: int, bramble_k_max: int) -> list:
+    """Path decompositions for k <= k_max and window brambles for k <= bramble_k_max, on one host per k."""
     recs = []
-    for k in range(1, k_max + 1):
-        if 2 * k >= n:
+    for k in range(1, max(k_max, bramble_k_max) + 1):
+        pd, bramble = 2 * k < n and k <= k_max, n >= 2 * k + 2 and k <= bramble_k_max
+        if not (pd or bramble):
             continue
         g = graphs.gen_petersen(n, k)
-        for mode in ("repaired", "verbatim"):
+        for mode in ("repaired", "verbatim") if pd else ():
             rep = decomp.validate_decomposition(g, decomp.petersen_pd(n, k, mode))
             instance = f"petersen-pd n={n:04d} k={k} {mode}"
             if mode == "repaired" or k == 1:
@@ -220,31 +222,22 @@ def _job_petersen_pd(n: int, k_max: int) -> list:
                     note="printed recipe misses these spokes for k >= 2; repaired mode covers them",
                 )
             )
-    return recs
-
-
-def _job_petersen_bramble(n: int, k_max: int) -> list:
-    recs = []
-    for k in range(1, k_max + 1):
-        if n < 2 * k + 2:
-            continue
-        g = graphs.gen_petersen(n, k)
-        br = bounds.petersen_bramble(n, k)
-        t = -(-n // (2 * k + 2))
-        sizes_ok = all(len(s) == 2 * t + 2 for s in br.sets)
-        rep = bounds.validate_bramble(g, br)
-        ok = rep.ok and sizes_ok
-        known = (not rep.ok) and (n, k) in KNOWN_BRAMBLE_GAPS and rep.first_nontouching is not None
-        recs.append(
-            Record(
-                f"petersen-bramble n={n:04d} k={k}",
-                f"ok={rep.ok} sizes_ok={sizes_ok} nontouching={rep.first_nontouching}",
-                "ok=True sizes_ok=True nontouching=None",
-                equal=ok,
-                flagged_known=known,
-                note="window shorter than the inner skip; touching genuinely fails here" if known else "",
+        if bramble:
+            br = bounds.petersen_bramble(n, k)
+            t = -(-n // (2 * k + 2))
+            sizes_ok = all(len(s) == 2 * t + 2 for s in br.sets)
+            rep = bounds.validate_bramble(g, br)
+            known = (not rep.ok) and (n, k) in KNOWN_BRAMBLE_GAPS and rep.first_nontouching is not None
+            recs.append(
+                Record(
+                    f"petersen-bramble n={n:04d} k={k}",
+                    f"ok={rep.ok} sizes_ok={sizes_ok} nontouching={rep.first_nontouching}",
+                    "ok=True sizes_ok=True nontouching=None",
+                    equal=rep.ok and sizes_ok,
+                    flagged_known=known,
+                    note="window shorter than the inner skip; touching genuinely fails here" if known else "",
+                )
             )
-        )
     return recs
 
 
@@ -405,14 +398,16 @@ def _jobs_appendix_b(params):
 
 
 def _jobs_hales(params):
-    jobs = [(_job_hales, (t, n)) for t in range(1, params["t_max"] + 1) for n in range(1, params["n_max"] + 1)]
-    jobs += [(_job_harper, (t, params["harper_n"])) for t in range(1, params["t_max"] + 1)]
+    # fixed grid: larger n meets the 16-vertex prefix and 20-vertex bv_table caps, larger t only complete graphs
+    jobs = [(_job_hales, (t, n)) for t in range(1, 4) for n in range(1, 5)]
+    jobs += [(_job_harper, (t, 4)) for t in range(1, 4)]
     return jobs
 
 
 def _jobs_petersen(params):
-    jobs = [(_job_petersen_pd, (n, params["k_max"])) for n in range(4, params["n_max"] + 1)]
-    jobs += [(_job_petersen_bramble, (n, params["bramble_k_max"])) for n in range(4, params["bramble_n_max"] + 1)]
+    p = params  # a part whose n is past its *_n_max gets k_max 0
+    jobs = [(_job_petersen, (n, p["k_max"] if n <= p["n_max"] else 0, p["bramble_k_max"] if n <= p["bramble_n_max"] else 0))
+            for n in range(4, max(p["n_max"], p["bramble_n_max"]) + 1)]
     jobs.append((_job_petersen_global, ()))
     return jobs
 
@@ -420,7 +415,7 @@ def _jobs_petersen(params):
 def _jobs_kneser(params):
     jobs = [(_job_kneser_core, ()), (_job_kneser_star, ())]
     jobs += [(_job_kneser_matching, (n, k)) for (n, k) in ((5, 2), (7, 3), (12, 2))]
-    jobs += [(_job_cross_intersecting, (n,)) for n in range(4, params["cross_n_max"] + 1)]
+    jobs += [(_job_cross_intersecting, (n,)) for n in range(4, 8)]  # n = 8 has C(8,2) = 28 > CROSS_CAP subsets
     return jobs
 
 
@@ -431,6 +426,8 @@ def _jobs_spectrum(params):
 
 
 def _jobs_limits(params):
+    if params["k_lo"] > params["k_hi"]:
+        raise ParameterError(f"limits needs k_lo <= k_hi, got k_lo={params['k_lo']} k_hi={params['k_hi']}")
     return [(_job_limits, (params["k_lo"], params["k_hi"]))]
 
 
@@ -442,9 +439,9 @@ SUITES = {
     "theorem1": (_jobs_theorem1, {"t_max": 3, "n_max": 4}),
     "appendixA": (_jobs_appendix_a, {"n_max": 10}),
     "appendixB": (_jobs_appendix_b, {"t_max": 6, "n_max": 12, "t1_n_max": 30, "maximizer_n_max": 10}),
-    "hales": (_jobs_hales, {"t_max": 3, "n_max": 4, "harper_n": 4}),
+    "hales": (_jobs_hales, {}),
     "petersen": (_jobs_petersen, {"n_max": 120, "k_max": 5, "bramble_n_max": 120, "bramble_k_max": 4}),
-    "kneser": (_jobs_kneser, {"cross_n_max": 7}),
+    "kneser": (_jobs_kneser, {}),
     "spectrum": (_jobs_spectrum, {"k_max": 3, "formula_k_max": 20}),
     "limits": (_jobs_limits, {"k_lo": 8, "k_hi": 16}),
     "consistency": (_jobs_consistency, {}),
@@ -457,7 +454,7 @@ def _run_job(job):
 
 
 def run_suite(config: SuiteConfig) -> list:
-    """Execute a suite; returns its records sorted by instance key."""
+    """Execute a suite; returns its records sorted by instance key, and refuses a run that checks nothing."""
     jobs = SUITES[config.name][0](config.params)
     workers = min(config.workers, len(jobs))  # a pool forks all of its workers up front
     if workers > 1:
@@ -466,6 +463,8 @@ def run_suite(config: SuiteConfig) -> list:
     else:
         chunks = [_run_job(j) for j in jobs]
     records = [r for chunk in chunks for r in chunk]
+    if not records:
+        raise ParameterError(f"suite {config.name} with {config.params} checks nothing")
     records.sort(key=lambda r: r.instance)
     return records
 

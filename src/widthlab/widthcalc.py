@@ -31,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import hales
-from .errors import InfeasibleError, ParameterError, SizeCapError, UndefinedValueError
+from .errors import ParameterError, SizeCapError, UndefinedValueError
 
 __all__ = [
     "NEG_INF",
@@ -321,41 +321,31 @@ def _shell_weight(n: int, x: float, i: int) -> float:
 def harper_lower_bound(t: int, q: int, n: int, m: int) -> float:
     """Continuous lower bound on the minimum outer boundary of m-subsets.
 
-    For each integer shell index r, solves
+    For each shell index r = 0..n-1, solves
     ``q^n * sum_{i<=r} C(n,i) x^(n-i) (1-x)^i = m`` for x in (0, 1) by
     bisection (the left side is increasing in x), evaluates the next t
-    shells at that x, and returns the minimum over all feasible r,
-    rounded down slightly so the result never over-claims. Scans every
-    integer r rather than trusting any asymptotic window.
+    shells at that x, and returns the minimum over all r, rounded down
+    slightly so the result never over-claims. Scans every r < n rather
+    than trusting any asymptotic window. For m = q^n only r = n fits;
+    the whole space has no outer boundary, so the bound is 0.
     """
     if q < 2 or n < 1 or t < 1:
         raise ParameterError(f"harper_lower_bound needs q >= 2, n >= 1, t >= 1, got q={q} n={n} t={t}")
     total = q**n
     if not (1 <= m <= total):
         raise ParameterError(f"m must lie in 1..q^n, got m={m}")
+    if m == total:
+        return 0.0
     target = m / total
-    best = None
-    for r in range(n + 1):
-        if r == n:
-            if m != total:
-                continue
-            candidate = 0.0
-        else:
-            if m == total:
-                continue  # the partial shell sum never reaches 1 on (0, 1)
-            lo, hi = 0.0, 1.0
-            for _ in range(100):
-                mid = 0.5 * (lo + hi)
-                if sum(_shell_weight(n, mid, i) for i in range(r + 1)) < target:
-                    lo = mid
-                else:
-                    hi = mid
-            vals = []
-            for x in (lo, hi):
-                vals.append(total * sum(_shell_weight(n, x, r + i) for i in range(1, t + 1)))
-            candidate = min(vals)
-        if best is None or candidate < best:
-            best = candidate
-    if best is None:
-        raise InfeasibleError(f"no feasible shell index for m={m}, q={q}, n={n}")
+    best = math.inf
+    for r in range(n):
+        lo, hi = 0.0, 1.0
+        for _ in range(100):
+            mid = 0.5 * (lo + hi)
+            if sum(_shell_weight(n, mid, i) for i in range(r + 1)) < target:
+                lo = mid
+            else:
+                hi = mid
+        for x in (lo, hi):
+            best = min(best, total * sum(_shell_weight(n, x, r + i) for i in range(1, t + 1)))
     return max(0.0, best - 1e-9 * max(1.0, abs(best)))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from widthlab import cli, decomp, graphs, hales, oracles, suites
-from widthlab.errors import InfeasibleError, PreconditionError, UndefinedValueError
+from widthlab.errors import PreconditionError, UndefinedValueError
 
 
 def run(args):
@@ -86,7 +86,7 @@ def test_no_flag_lifts_a_size_cap(monkeypatch):
         assert err.value.code == 2
 
 
-@pytest.mark.parametrize("error", [PreconditionError, UndefinedValueError, InfeasibleError])
+@pytest.mark.parametrize("error", [PreconditionError, UndefinedValueError])
 def test_raised_error_is_usage_error(monkeypatch, capsys, error):
     # a raised error refuses the input; exit 1 is left to identity failures
     def refuse(args):
@@ -326,6 +326,28 @@ def test_suite_petersen_flags_known_gaps(tmp_path):
 
 def test_suite_unknown_parameter_rejected(tmp_path):
     assert run(["suite", "--name", "limits", "--param", "bogus=3"]) == 2
+
+
+@pytest.mark.parametrize("name,param", [("hales", "t_max"), ("hales", "n_max"), ("hales", "harper_n"), ("kneser", "cross_n_max")])
+def test_suite_fixed_grid_parameter_rejected(capsys, name, param):
+    # these grids are fixed: a larger value meets a size cap, a smaller one checks less
+    assert run(["suite", "--name", name, "--param", f"{param}=3"]) == 2
+    assert "unknown parameters" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["suite", "--name", "theorem1", "--param", "n_max=1"],  # no job at all
+        ["suite", "--name", "appendixA", "--param", "n_max=2"],  # jobs that yield no record
+        ["suite", "--name", "limits", "--param", "k_lo=20"],  # an empty k range
+    ],
+)
+def test_suite_that_checks_nothing_is_usage_error(tmp_path, capsys, argv):
+    out = tmp_path / "r.csv"
+    assert run(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("params", [["k_lo=abc"], ["k_lo=8", "k_lo=9"]])

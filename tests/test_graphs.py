@@ -1,10 +1,11 @@
 """Family generators, the graph container, and the .gr round trip."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from widthlab import cli, graphs, hales
@@ -75,6 +76,19 @@ def _gen_johnson_ref(n: int, k: int) -> Graph:
     return Graph(len(rows), edges, labels=[graphs._subset_label(int(r)) for r in rows])
 
 
+def _gen_bipartite_kneser_ref(n: int, k: int) -> Graph:
+    """k-subsets versus (n-k)-subsets of [n], adjacent under inclusion (the dense-table builder)."""
+    graphs.FamilySpec("bipartite_kneser", n=n, k=k).validate()
+    left = hales.slice_order(n, k)
+    right = hales.slice_order(n, n - k)
+    incl = (left[:, None] & ~right[None, :]) == 0
+    ii, jj = np.nonzero(incl)
+    nl = len(left)
+    edges = np.column_stack([ii, jj + nl])
+    labels = [graphs._subset_label(int(r)) for r in left] + [graphs._subset_label(int(r)) for r in right]
+    return Graph(nl + len(right), edges, labels=labels)
+
+
 def _assert_same_graph(new: Graph, ref: Graph):
     assert new.n == ref.n
     assert new.edges.dtype == ref.edges.dtype
@@ -92,6 +106,24 @@ def test_hamming_matches_all_pairs_reference(q, n):
 def test_johnson_matches_all_pairs_reference(n):
     for k in range(1, n):
         _assert_same_graph(graphs.gen_johnson(n, k), _gen_johnson_ref(n, k))
+
+
+@pytest.mark.parametrize("n", range(3, 16))
+def test_bipartite_kneser_matches_inclusion_table_reference(n):
+    for k in range(1, (n - 1) // 2 + 1):
+        _assert_same_graph(graphs.gen_bipartite_kneser(n, k), _gen_bipartite_kneser_ref(n, k))
+
+
+def test_bipartite_kneser_memory_grows_with_the_edges():
+    # BK(15,7) has 51,480 edges; the dense 6,435 x 6,435 inclusion table peaked near 200 MB
+    tracemalloc.start()
+    try:
+        g = graphs.gen_bipartite_kneser(15, 7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.num_edges == 51480
+    assert peak < 32 * 2**20
 
 
 @settings(max_examples=60, deadline=None)
@@ -307,6 +339,35 @@ def test_graph_edges_match_unique_rows(args):
     assert g.edges.dtype == np.int64
     assert g.edges.shape == expected.shape
     assert np.array_equal(g.edges, expected)
+
+
+def _component_ref(g: Graph, seed: set, within: set) -> set:
+    """The members of ``within`` that a breadth-first search from ``seed`` reaches inside ``within``."""
+    reached = seed & within
+    queue = list(reached)
+    for v in queue:
+        for u in g.neighbors(v).tolist():
+            if u in within and u not in reached:
+                reached.add(u)
+                queue.append(u)
+    return reached
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 30).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1]), max_size=60),
+    st.sets(st.integers(0, n - 1)),
+    st.sets(st.integers(0, n - 1)),
+)))
+@example((4, [(0, 1), (1, 2), (2, 3)], set(), {0, 1, 2, 3}))  # an empty seed reaches nothing
+@example((4, [(0, 1), (1, 2), (2, 3)], {0, 3}, {0, 1, 3}))  # the path 0-1-2 leaves within at 2
+def test_component_matches_breadth_first_search(args):
+    n, edges, seed, within = args
+    g = graphs.Graph(n, edges)
+    bits = lambda vs: sum(1 << v for v in vs)
+    got = graphs._component(g.neighbor_masks(), bits(seed), bits(within))
+    assert got == bits(_component_ref(g, seed, within))
 
 
 def test_pace_round_trip(tmp_path):

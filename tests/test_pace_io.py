@@ -518,3 +518,12 @@ def test_read_td_matches_reference(tmp_path_factory, td_bases):
         _assert_same(decomp.read_td, _read_td_ref, _td_value, path)
 
     check()
+
+
+def test_td_with_bags_out_of_id_order_takes_the_line_loop(tmp_path):
+    text = "s td 2 2 3\nb 2 1 2\nb 1 3\n1 2\n"  # the out-of-order example above
+    assert decomp._scan_td(text.encode()) is None
+    path = tmp_path / "swapped.td"
+    path.write_text(text)
+    assert decomp.read_td(path)[0].offsets.tolist() == [0, 1, 3]  # bag 1 = {3} comes first
+    _assert_same(decomp.read_td, _read_td_ref, _td_value, path)

@@ -1,8 +1,10 @@
 """Every named suite runs clean (or flags only its documented anomalies)."""
 
+from collections import Counter
+
 import pytest
 
-from widthlab import suites
+from widthlab import graphs, suites
 from widthlab.errors import ParameterError
 
 
@@ -96,3 +98,21 @@ def test_pool_is_no_larger_than_the_job_list(monkeypatch):
     assert records == suites.run_suite(suites.SuiteConfig("appendixB"))
     suites.run_suite(suites.SuiteConfig("limits", workers=5000))  # one job: no pool at all
     assert len(sizes) == 1
+
+
+def test_petersen_grid_builds_each_host_once(monkeypatch):
+    built = Counter()
+    gen_petersen = graphs.gen_petersen
+
+    def counting(n, k):
+        built[n, k] += 1
+        return gen_petersen(n, k)
+
+    monkeypatch.setattr(graphs, "gen_petersen", counting)
+    config = suites.SuiteConfig("petersen", params={"n_max": 12, "k_max": 3, "bramble_n_max": 16, "bramble_k_max": 4})
+    for fn, args in suites.SUITES["petersen"][0](config.params):
+        if fn is not suites._job_petersen_global:  # the classic (5,2) checks build their own host
+            fn(*args)
+    hosts = {(n, k) for n in range(4, 13) for k in range(1, 4) if 2 * k < n}
+    hosts |= {(n, k) for n in range(4, 17) for k in range(1, 5) if 2 * k + 2 <= n}
+    assert built == Counter(hosts)
