@@ -2,20 +2,26 @@
 
 The double-cycle bramble puts, at every start position i, a window of
 t+1 consecutive outer vertices plus the t+1 inner vertices reachable by
-skip steps from the window's end, with t = ceil(n / (2k+2)). A bramble
-is validated on python int bitmasks, one per set and one per vertex
-neighbourhood, so its host graph is capped at ``BITSET_MAX_VERTICES``
-(4096) vertices. A bramble that carries a claimed rotation (as the
-window bramble does) is validated once per orbit: the rotation must be
-a permutation of the vertex ids that maps the edge set onto itself, the
-sets must have one size, and it must map set i onto set i+1 (mod the
-number of sets). Then set 0 connected makes every set connected, and
-touching depends only on j - i, so set 0 against every other set gives
-the same report as the scan over all pairs. A failed symmetry check
-raises :class:`StructuralError` rather than falling back to that scan,
-which stays the route for sets without a rotation. The transversal
-bounds here and in ``oracles.exact_transversal`` take plain set families
-such as ``Bramble.sets``. Claimed spectra are checked against integer
+skip steps from the window's end, with t = ceil(n / (2k+2)). Its sets
+stay one (n, 2t+2) int64 index matrix from construction to verdict:
+``Bramble.sets`` builds a frozenset only when a caller indexes or
+iterates it. A bramble is validated on python int bitmasks, one per set
+and one per vertex neighbourhood, so its host graph is capped at
+``BITSET_MAX_VERTICES`` (4096) vertices. A bramble that carries a
+claimed rotation (as the window bramble does) is validated once per
+orbit: the rotation must be a permutation of the vertex ids that maps
+the edge set onto itself, the sets must have one size, and it must map
+set i onto set i+1 (mod the number of sets). Then set 0 connected makes
+every set connected, and touching depends only on j - i, so set 0
+against every other set gives the same report as the scan over all
+pairs. This route reads the index matrix (sorted rows, compared with
+their images under the rotation) and builds neighbourhood masks for set
+0's members only. A failed symmetry check raises
+:class:`StructuralError` rather than falling back to that scan, which
+stays the route for sets without a rotation. The transversal bounds
+here and in ``oracles.exact_transversal`` take plain set families such
+as ``Bramble.sets``; ``transversal_fraction_bound`` counts an index
+matrix with one ``bincount``. Claimed spectra are checked against integer
 trace moments in exact arithmetic rather than by floating point
 eigensolvers. The traces tr(A^p), p = 0..p_max, come from column
 blocks X = A^m[:, C] for m up to ceil(p_max/2): each step X -> A X sums
@@ -34,16 +40,18 @@ spectrum certificate).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import HypothesisError, ParameterError, PreconditionError, SizeCapError, StructuralError, UndefinedValueError
-from .graphs import Graph, _component
+from .graphs import BITSET_MAX_VERTICES, Graph, _component
 from .widthcalc import binom_ext
 
 __all__ = [
@@ -76,7 +84,7 @@ class Bramble:
     the number of sets; :func:`validate_bramble` checks the claim.
     """
 
-    sets: tuple  # tuple of frozensets of vertex ids
+    sets: Sequence  # of frozensets of vertex ids
     rotation: tuple | None = None  # vertex permutation, or None
 
 
@@ -87,11 +95,45 @@ class BrambleReport:
     first_nontouching: tuple | None = None  # pair of set indices
 
 
+class _SetRows(Sequence):
+    """A set family kept as one int64 index matrix ``rows``, one row per set.
+
+    Items and slices are frozensets (a slice is a tuple of them), built
+    from the rows on access; a row may repeat an id.
+    """
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def __len__(self):
+        return len(self.rows)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(frozenset(row) for row in self.rows[i].tolist())
+        return frozenset(self.rows[i].tolist())
+
+    def __eq__(self, other):
+        return isinstance(other, Sequence) and tuple(self) == tuple(other)
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+    @functools.cached_property
+    def distinct(self) -> tuple:
+        """Each row sorted, and the mask of its first occurrences of each id."""
+        rows = np.sort(self.rows, axis=1)
+        first = np.ones(rows.shape, dtype=bool)
+        np.not_equal(rows[:, 1:], rows[:, :-1], out=first[:, 1:])
+        return rows, first
+
+
 def petersen_bramble(n: int, k: int) -> Bramble:
     """Window bramble of the double-cycle graph on v_1..v_n, u_1..u_n.
 
     Set i holds v_i..v_{i+t} and u_{i+t+jk} for j = 0..t (indices mod
-    n), with t = ceil(n / (2k+2)); every set has 2t+2 vertices.
+    n), with t = ceil(n / (2k+2)); every set has 2t+2 vertices. The sets
+    are kept as one (n, 2t+2) index matrix (module docstring).
     """
     if not (k >= 1 and 2 * k < n):
         raise ParameterError(f"need 1 <= k < n/2, got n={n} k={k}")
@@ -99,10 +141,7 @@ def petersen_bramble(n: int, k: int) -> Bramble:
     i, j = np.arange(n)[:, None], np.arange(t + 1)
     rows = np.concatenate([(i + j) % n, n + (i + t + j * k) % n], axis=1)  # 0-based start i
     step = (np.arange(n) + 1) % n  # rho: v_j -> v_{j+1}, u_j -> u_{j+1}
-    # one row at a time, through set() so each frozenset is sized from a known
-    # count: half the table of one grown from a list
-    sets = tuple(frozenset(set(row.tolist())) for row in rows)
-    return Bramble(sets, rotation=tuple(np.concatenate([step, n + step]).tolist()))
+    return Bramble(_SetRows(rows), rotation=tuple(np.concatenate([step, n + step]).tolist()))
 
 
 def _mask_and_closure(s, n: int, nbrs: list, single: list) -> tuple:
@@ -116,7 +155,7 @@ def _mask_and_closure(s, n: int, nbrs: list, single: list) -> tuple:
     return bits, bits | closure
 
 
-def _connected(bits: int, nbrs: list) -> bool:
+def _connected(bits: int, nbrs) -> bool:
     """Whether the set bitmask is non-empty and induces a connected subgraph."""
     return bool(bits) and _component(nbrs, bits & -bits, bits) == bits
 
@@ -126,18 +165,20 @@ def validate_bramble(g: Graph, bramble: Bramble) -> BrambleReport:
 
     Vertex ids are integers (python or numpy) in range(num_vertices).
     Sets and neighbourhoods are python int bitmasks, so the host is
-    capped at ``BITSET_MAX_VERTICES`` vertices
-    (:meth:`Graph.neighbor_masks`). Touching means intersecting or
-    joined by an edge: set j meets the closure of set i (the set plus
-    its neighbourhood). An empty set is disconnected. A bramble with a
-    rotation takes the orbit route (module docstring), which returns the
-    same report and raises :class:`StructuralError` if the claimed
-    symmetry does not hold.
+    capped at ``BITSET_MAX_VERTICES`` vertices on both routes. Touching
+    means intersecting or joined by an edge: set j meets the closure of
+    set i (the set plus its neighbourhood). An empty set is
+    disconnected. A bramble with a rotation takes the orbit route
+    (module docstring), which returns the same report and raises
+    :class:`StructuralError` if the claimed symmetry does not hold.
     """
-    n, nbrs = g.num_vertices, g.neighbor_masks()
-    single = [1 << v for v in range(n)]  # looked up, not shifted, so numpy ids stay exact
+    n = g.num_vertices
+    if n > BITSET_MAX_VERTICES:
+        raise SizeCapError(f"bitmask adjacency capped at {BITSET_MAX_VERTICES} vertices, graph has {n}")
     if bramble.rotation is not None:
-        return _validate_orbit(g, bramble, nbrs, single)
+        return _validate_orbit(g, bramble)
+    nbrs = g.neighbor_masks()
+    single = [1 << v for v in range(n)]  # looked up, not shifted, so numpy ids stay exact
     masks, closures = [], []
     for s in bramble.sets:
         bits, closure = _mask_and_closure(s, n, nbrs, single)
@@ -153,14 +194,15 @@ def validate_bramble(g: Graph, bramble: Bramble) -> BrambleReport:
     return BrambleReport(True)
 
 
-def _validate_orbit(g: Graph, bramble: Bramble, nbrs: list, single: list) -> BrambleReport:
+def _validate_orbit(g: Graph, bramble: Bramble) -> BrambleReport:
     """:func:`validate_bramble` for a family that is one orbit of its rotation.
 
     Checks that the rotation is a permutation, maps the edge set onto
     itself and maps set i onto set i+1 (mod m), then floods set 0 and
     tests its closure against sets 1..m-1: S_i and S_j touch exactly when
     S_0 and S_{j-i} do, so the first failing pair of the full scan is
-    (0, least failing j).
+    (0, least failing j). Only set 0's members get neighbourhood masks,
+    read off the edges with both ends in set 0.
     """
     n, sets = g.num_vertices, bramble.sets
     rho = np.array(bramble.rotation)
@@ -173,30 +215,56 @@ def _validate_orbit(g: Graph, bramble: Bramble, nbrs: list, single: list) -> Bra
         raise StructuralError("claimed rotation does not map the edge set onto itself")
     if not sets:
         return BrambleReport(True)
-    size = len(sets[0])
-    if any(len(s) != size for s in sets):
-        raise StructuralError("orbit sets differ in size")
-    rows = np.fromiter(itertools.chain.from_iterable(sets), dtype=np.int64, count=len(sets) * size)
-    rows = rows.reshape(len(sets), size)
+    if not isinstance(sets, _SetRows):  # sets of one size fill an index matrix
+        size = len(sets[0])
+        if any(len(s) != size for s in sets):
+            raise StructuralError("orbit sets differ in size")
+        rows = np.fromiter(itertools.chain.from_iterable(sets), dtype=np.int64, count=len(sets) * size)
+        sets = _SetRows(rows.reshape(len(sets), size))
+    rows, first = sets.distinct
+    if not first.all():  # a row repeats an id: keep each row's distinct ids, ascending
+        sizes = first.sum(axis=1)
+        if (sizes != sizes[0]).any():
+            raise StructuralError("orbit sets differ in size")
+        rows = rows[first].reshape(len(rows), -1)
     if rows.size and (rows.min() < 0 or rows.max() >= n):
         raise ParameterError("vertex id out of range")
-    rows.sort(axis=1)
     image = rho[rows]
     image.sort(axis=1)
     if not (np.array_equal(image[:-1], rows[1:]) and np.array_equal(image[-1], rows[0])):
         raise StructuralError("claimed rotation does not map set i onto set i+1")
-    bits, closure = _mask_and_closure(sets[0], n, nbrs, single)
-    if not _connected(bits, nbrs):
+    inside = np.zeros(n, dtype=bool)  # set 0, then its closure
+    inside[rows[0]] = True
+    ends = inside[g.edges]  # which ends of each edge lie in set 0
+    members = rows[0].tolist()
+    nbrs = dict.fromkeys(members, 0)  # neighbourhoods inside set 0, for its members only
+    for u, v in g.edges[ends.all(axis=1)].tolist():
+        nbrs[u] |= 1 << v
+        nbrs[v] |= 1 << u
+    if not _connected(sum(1 << v for v in members), nbrs):
         return BrambleReport(False, first_disconnected=0)
-    inside = np.unpackbits(np.frombuffer(closure.to_bytes(-(-n // 8), "little"), np.uint8), bitorder="little")[:n]
-    missed = np.flatnonzero(~inside.astype(bool)[rows[1:]].any(axis=1))
+    inside[g.edges[ends[:, 0], 1]] = True
+    inside[g.edges[ends[:, 1], 0]] = True
+    missed = np.flatnonzero(~inside[rows[1:]].any(axis=1))
     if missed.size:
         return BrambleReport(False, first_nontouching=(0, int(missed[0]) + 1))
     return BrambleReport(True)
 
 
 def transversal_fraction_bound(sets) -> Fraction:
-    """Sets-over-max-degree lower bound on the transversal number of a family such as ``Bramble.sets``."""
+    """Sets-over-max-degree lower bound on the transversal number of a family such as ``Bramble.sets``.
+
+    A family kept as an index matrix is counted by one ``bincount`` over
+    each row's distinct ids; any other family by a ``Counter``.
+    """
+    if isinstance(sets, _SetRows):
+        rows, first = sets.distinct
+        if not len(rows):
+            raise ParameterError("transversal bound needs a non-empty set family")
+        if not rows.shape[1]:
+            raise ParameterError("sets must be non-empty")
+        members = rows[first]
+        return Fraction(len(rows), int(np.bincount(members - members.min()).max()))
     sets = [frozenset(s) for s in sets]
     if not sets:
         raise ParameterError("transversal bound needs a non-empty set family")

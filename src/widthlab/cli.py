@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import sys
 
@@ -286,49 +287,49 @@ _FLAGS = {
 }
 
 
+@functools.cache  # safe to share: _Given and the --param default leave the parser untouched
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="widthlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, fn, summary, *flags):
+    def command(name, summary, *flags):  # run by _cmd_<name>
         p = sub.add_parser(name, help=summary)
         for flag in flags:
             p.add_argument(f"--{flag}", action=_Given, **_FLAGS[flag])
-        p.set_defaults(fn=fn, given=frozenset())
+        p.set_defaults(given=frozenset())
         return p
 
-    command("gen", _cmd_gen, "emit a family member in PACE .gr form", "family", "t", "q", "n", "k", "out")
-    command("hales", _cmd_hales, "print the global binary order as CSV", "n", "out")
-    command("bw", _cmd_bw, "closed/recursive/direct bandwidth values", "t", "n")
-    command("radius", _cmd_radius, "closed/recursive/direct block radii", "t", "n", "k", "s")
+    command("gen", "emit a family member in PACE .gr form", "family", "t", "q", "n", "k", "out")
+    command("hales", "print the global binary order as CSV", "n", "out")
+    command("bw", "closed/recursive/direct bandwidth values", "t", "n")
+    command("radius", "closed/recursive/direct block radii", "t", "n", "k", "s")
 
-    p = command("decomp", _cmd_decomp, "build or validate path/tree decompositions", "n", "k", "mode", "out")
+    p = command("decomp", "build or validate path/tree decompositions", "n", "k", "mode", "out")
     p.add_argument("--gr", default=None, help="validate this .gr graph ...")
     p.add_argument("--td", default=None, help="... against this .td decomposition")
 
-    command("bramble", _cmd_bramble, "build and validate the window bramble", "n", "k", "out")
+    command("bramble", "build and validate the window bramble", "n", "k", "out")
 
-    p = command("spectrum", _cmd_spectrum, "closed-form spectrum with a trace-moment check", "k", "out")
+    p = command("spectrum", "closed-form spectrum with a trace-moment check", "k", "out")
     p.add_argument("--p-max", type=int, default=6)
 
-    p = command("oracle", _cmd_oracle, "exact brute-force values with certificates", "family", "t", "q", "n", "k", "what", "out")
+    p = command("oracle", "exact brute-force values with certificates", "family", "t", "q", "n", "k", "what", "out")
     p.add_argument("--gr", default=None, help="run on a .gr file instead of a family")
 
-    p = command("suite", _cmd_suite, "run a named verification suite", "format", "out", "workers")
+    p = command("suite", "run a named verification suite", "format", "out", "workers")
     p.add_argument("--name", required=True, choices=sorted(suites.SUITES))
     p.add_argument("--param", action="append", default=[], metavar="NAME=VALUE", help="override a suite grid parameter")
 
-    p = command("table", _cmd_table, "emit a formula table over a grid", "t", "n", "k", "s", "format", "out")
+    p = command("table", "emit a formula table over a grid", "t", "n", "k", "s", "format", "out")
     p.add_argument("--formula", required=True, choices=sorted(suites.TABLE_FORMULAS))
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        return globals()[f"_cmd_{args.command}"](args)  # looked up per call, not stored in the cached parser
     except (WidthLabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

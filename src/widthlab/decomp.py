@@ -238,9 +238,9 @@ def petersen_pd(n: int, k: int, mode: str = "repaired") -> Decomposition:
     bags = [sorted({*b, *anchor}) for b in seeds]
     bags += [sorted(set(row[lo:hi])) for row in rows[:early].tolist() for lo, hi in zip(cuts, cuts[1:])]
     # the closing bag X_{m+1} is the X part of the last row
-    lens = [len(b) for b in bags] + sizes * m + sizes[:1]
+    lens = np.concatenate([[len(b) for b in bags], np.tile(sizes, m), sizes[:1]])
     offsets = np.zeros(len(lens) + 1, dtype=np.int64)
-    np.cumsum(np.asarray(lens), out=offsets[1:])
+    np.cumsum(lens, out=offsets[1:])
     head = np.fromiter(itertools.chain.from_iterable(bags), dtype=np.int64, count=int(offsets[len(bags)]))
     flat = np.concatenate([head, rows[early:-1].ravel(), rows[-1, : sizes[0]]])
     return Decomposition(flat, offsets, tree_edges=None)

@@ -321,7 +321,7 @@ def gen_petersen(n: int, k: int) -> Graph:
     outer = np.column_stack([i, (i + 1) % n])
     inner = np.column_stack([i + n, (i + k) % n + n])
     edges = np.concatenate([spokes, outer, inner])
-    labels = [("v", int(j) + 1) for j in i] + [("u", int(j) + 1) for j in i]
+    labels = [("v", j) for j in range(1, n + 1)] + [("u", j) for j in range(1, n + 1)]
     return Graph(2 * n, edges, labels=labels)
 
 

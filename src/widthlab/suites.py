@@ -225,7 +225,8 @@ def _job_petersen(n: int, k_max: int, bramble_k_max: int) -> list:
         if bramble:
             br = bounds.petersen_bramble(n, k)
             t = -(-n // (2 * k + 2))
-            sizes_ok = all(len(s) == 2 * t + 2 for s in br.sets)
+            rows, first = br.sets.distinct  # each row sorted; a repeated id is not a first occurrence
+            sizes_ok = rows.shape[1] == 2 * t + 2 and bool(first.all())
             rep = bounds.validate_bramble(g, br)
             known = (not rep.ok) and (n, k) in KNOWN_BRAMBLE_GAPS and rep.first_nontouching is not None
             recs.append(
@@ -382,15 +383,26 @@ def _job_consistency(name: str) -> list:
 # ----------------------------------------------------------------------
 
 
+def _require(params, part: str, *ranges) -> None:
+    """Refuse a run in which a part of the suite that ``params`` name spans an empty range."""
+    if not all(ranges):
+        raise ParameterError(f"suite part {part} checks nothing with {params}")
+
+
 def _jobs_theorem1(params):
+    _require(params, "theorem1", range(1, params["t_max"] + 1), range(2, params["n_max"] + 1))  # t < n
     return [(_job_theorem1, (t, n)) for t in range(1, params["t_max"] + 1) for n in range(t + 1, params["n_max"] + 1)]
 
 
 def _jobs_appendix_a(params):
-    return [(_job_radius_identities, (n,)) for n in range(1, params["n_max"] + 1)]
+    _require(params, "radius", range(3, params["n_max"] + 1))  # the radius tuples start at n = 3
+    return [(_job_radius_identities, (n,)) for n in range(3, params["n_max"] + 1)]
 
 
 def _jobs_appendix_b(params):
+    _require(params, "bandwidth recursion", range(1, params["t_max"] + 1), range(1, params["n_max"] + 1))
+    _require(params, "halving sum", range(1, params["t1_n_max"] + 1))
+    _require(params, "gap maximizer", range(2, params["maximizer_n_max"] + 1))
     jobs = [(_job_bw_recursion, (t, params["n_max"])) for t in range(1, params["t_max"] + 1)]
     jobs.append((_job_bw_t1, (params["t1_n_max"],)))
     jobs.append((_job_gap_maximizer, (params["maximizer_n_max"],)))
@@ -405,7 +417,9 @@ def _jobs_hales(params):
 
 
 def _jobs_petersen(params):
-    p = params  # a part whose n is past its *_n_max gets k_max 0
+    p = params  # a part whose n is past its *_n_max gets k_max 0; the smallest host of each part is (4, 1)
+    _require(p, "petersen-pd", range(4, p["n_max"] + 1), range(1, p["k_max"] + 1))
+    _require(p, "petersen-bramble", range(4, p["bramble_n_max"] + 1), range(1, p["bramble_k_max"] + 1))
     jobs = [(_job_petersen, (n, p["k_max"] if n <= p["n_max"] else 0, p["bramble_k_max"] if n <= p["bramble_n_max"] else 0))
             for n in range(4, max(p["n_max"], p["bramble_n_max"]) + 1)]
     jobs.append((_job_petersen_global, ()))
@@ -420,14 +434,15 @@ def _jobs_kneser(params):
 
 
 def _jobs_spectrum(params):
+    _require(params, "spectrum moments", range(1, params["k_max"] + 1))
+    _require(params, "spectrum formula", range(1, params["formula_k_max"] + 1))
     jobs = [(_job_spectrum, (k,)) for k in range(1, params["k_max"] + 1)]
     jobs.append((_job_spectrum_formula, (params["formula_k_max"],)))
     return jobs
 
 
 def _jobs_limits(params):
-    if params["k_lo"] > params["k_hi"]:
-        raise ParameterError(f"limits needs k_lo <= k_hi, got k_lo={params['k_lo']} k_hi={params['k_hi']}")
+    _require(params, "limits", range(params["k_lo"], params["k_hi"] + 1))
     return [(_job_limits, (params["k_lo"], params["k_hi"]))]
 
 

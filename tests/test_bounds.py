@@ -328,6 +328,91 @@ def test_orbit_route_refuses_a_false_symmetry():
         bounds.validate_bramble(graphs.Graph(4097, []), bounds.Bramble((frozenset({0}),), rotation=tuple(range(4097))))
 
 
+def _window_sets(n, k):
+    """The window bramble's sets built one frozenset at a time, from the formula in its docstring."""
+    t = -(-n // (2 * k + 2))
+    return tuple(
+        frozenset([(i + j) % n for j in range(t + 1)] + [n + (i + t + j * k) % n for j in range(t + 1)])
+        for i in range(n)
+    )
+
+
+_WINDOW_HOSTS = st.integers(3, 500).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, min(5, (n - 1) // 2))))
+
+
+@settings(max_examples=50, deadline=None)
+@given(_WINDOW_HOSTS)
+@example((3, 1))
+@example((11, 5))
+@example((500, 1))
+@example((500, 5))
+def test_window_family_reads_as_frozensets(case):
+    n, k = case
+    family = bounds.petersen_bramble(n, k).sets
+    expected = _window_sets(n, k)
+    assert isinstance(family.rows, np.ndarray) and family.rows.dtype == np.int64
+    assert len(family) == n and tuple(family) == expected and family == expected
+    assert family[0] == expected[0] and family[-1] == expected[-1]
+    assert family[1:3] == expected[1:3] and family[::-1] == expected[::-1]
+    fraction = bounds.transversal_fraction_bound(family)  # the bincount route
+    assert isinstance(fraction, Fraction) and fraction == bounds.transversal_fraction_bound(expected)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(3, 60).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, min(4, (n - 1) // 2)))))
+@example((10, 4))  # the four known gaps
+@example((14, 4))
+@example((18, 4))
+@example((20, 4))
+def test_array_backed_orbit_route_matches_frozensets_and_pair_scan(case):
+    n, k = case
+    g, bramble = graphs.gen_petersen(n, k), bounds.petersen_bramble(n, k)
+    sets = tuple(bramble.sets)
+    report = bounds.validate_bramble(g, bramble)
+    assert report == bounds.validate_bramble(g, bounds.Bramble(sets, rotation=bramble.rotation))
+    assert report == bounds.validate_bramble(g, bounds.Bramble(sets))
+    if n >= 2 * k + 2:
+        assert report.ok is ((n, k) not in suites.KNOWN_BRAMBLE_GAPS)
+
+
+def test_array_backed_orbit_route_refuses_what_the_frozenset_route_refuses():
+    g = graphs.gen_petersen(12, 2)
+    bramble = bounds.petersen_bramble(12, 2)
+
+    def validate(rows, host=g, rotation=bramble.rotation):
+        return bounds.validate_bramble(host, bounds.Bramble(bounds._SetRows(np.asarray(rows, dtype=np.int64)), rotation))
+
+    rows = bramble.sets.rows
+    shifted = rows.copy()
+    shifted[5, 0] = 23 - shifted[5, 0]  # still 2t+2 distinct ids, but not rho of row 4
+    assert len(set(shifted[5])) == rows.shape[1]
+    with pytest.raises(StructuralError, match="set i onto set i[+]1"):
+        validate(shifted)
+    with pytest.raises(StructuralError, match="set i onto set i[+]1"):
+        validate(rows[:-1])  # one set short of the orbit
+    repeated = rows.copy()
+    repeated[4, 1] = repeated[4, 0]  # one row with a repeated id: a smaller set than the others
+    with pytest.raises(StructuralError, match="differ in size"):
+        validate(repeated)
+    everywhere = rows.copy()
+    everywhere[:, 1] = everywhere[:, 0]  # every row repeats an id: still one orbit, of smaller sets
+    assert validate(everywhere) == bounds.validate_bramble(g, bounds.Bramble(tuple(map(frozenset, everywhere.tolist()))))
+    for bad in (-1, g.num_vertices):
+        with pytest.raises(ParameterError, match="out of range"):
+            validate([[0, bad]])
+    with pytest.raises(SizeCapError):
+        validate([[0]], host=graphs.Graph(4097, []), rotation=tuple(range(4097)))
+
+
+def test_transversal_fraction_of_array_backed_families():
+    for rows in ([[0, 1], [1, 2], [2, 0]], [[0, 0], [0, 1]], [[-1, 0], [0, 1]], [[3, 3, 3]]):
+        family = bounds._SetRows(np.array(rows, dtype=np.int64))
+        assert bounds.transversal_fraction_bound(family) == bounds.transversal_fraction_bound(map(frozenset, rows))
+    for rows in (np.zeros((0, 2), np.int64), np.zeros((2, 0), np.int64)):
+        with pytest.raises(ParameterError):
+            bounds.transversal_fraction_bound(bounds._SetRows(rows))
+
+
 def test_transversal_fraction_examples():
     single = (frozenset({0, 1}),)
     assert bounds.transversal_fraction_bound(single) == 1

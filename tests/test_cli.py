@@ -350,6 +350,36 @@ def test_suite_that_checks_nothing_is_usage_error(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["suite", "--name", "petersen", "--param", "n_max=3", "--param", "bramble_n_max=3"],  # neither part
+        ["suite", "--name", "petersen", "--param", "k_max=0"],  # no petersen-pd record
+        ["suite", "--name", "petersen", "--param", "bramble_k_max=0"],  # no petersen-bramble record
+        ["suite", "--name", "appendixB", "--param", "n_max=0"],  # no closed_vs_recursion record
+        ["suite", "--name", "appendixB", "--param", "maximizer_n_max=1"],  # no gap-maximizer record
+        ["suite", "--name", "spectrum", "--param", "formula_k_max=0"],  # no spectrum-formula record
+    ],
+)
+def test_suite_part_with_an_empty_range_is_usage_error(tmp_path, capsys, argv):
+    out = tmp_path / "r.csv"
+    assert run(argv + ["--out", str(out)]) == 2
+    assert "checks nothing" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_main_calls_share_no_parsed_state(monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "_cmd_suite", lambda args: seen.append(args) or 0)  # looked up on every call
+    assert run(["suite", "--name", "limits", "--param", "k_lo=8", "--workers", "2"]) == 0
+    assert run(["suite", "--name", "limits", "--param", "k_hi=9"]) == 0
+    assert run(["suite", "--name", "limits"]) == 0
+    first, second, third = seen
+    assert (first.param, second.param, third.param) == (["k_lo=8"], ["k_hi=9"], [])
+    assert (first.given, second.given, third.given) == ({"workers"}, set(), set())
+    assert cli.build_parser() is cli.build_parser()  # built once per process
+
+
 @pytest.mark.parametrize("params", [["k_lo=abc"], ["k_lo=8", "k_lo=9"]])
 def test_suite_malformed_parameter_rejected(params, capsys):
     argv = ["suite", "--name", "limits"]

@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from widthlab import graphs, suites
+from widthlab import bounds, graphs, suites
 from widthlab.errors import ParameterError
 
 
@@ -116,3 +116,32 @@ def test_petersen_grid_builds_each_host_once(monkeypatch):
     hosts = {(n, k) for n in range(4, 13) for k in range(1, 4) if 2 * k < n}
     hosts |= {(n, k) for n in range(4, 17) for k in range(1, 5) if 2 * k + 2 <= n}
     assert built == Counter(hosts)
+
+
+def test_bramble_record_reads_sizes_off_for_a_repeated_id(monkeypatch):
+    petersen_bramble = bounds.petersen_bramble
+
+    def repeated(n, k):
+        bramble = petersen_bramble(n, k)
+        rows = bramble.sets.rows.copy()
+        rows[:, 1] = rows[:, 0]  # every row repeats its first id, so the rows stay one orbit
+        return bounds.Bramble(bounds._SetRows(rows), bramble.rotation)
+
+    monkeypatch.setattr(bounds, "petersen_bramble", repeated)
+    [record] = suites._job_petersen(30, 0, 1)
+    assert record.instance == "petersen-bramble n=0030 k=1"
+    assert "sizes_ok=False" in record.lhs and not record.equal
+    monkeypatch.undo()
+    [record] = suites._job_petersen(30, 0, 1)
+    assert record.lhs == "ok=True sizes_ok=True nontouching=None" and record.equal
+
+
+def test_petersen_bramble_jobs_build_no_frozenset(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a frozenset was built from the window matrix")
+
+    monkeypatch.setattr(bounds._SetRows, "__getitem__", refuse)
+    monkeypatch.setattr(bounds._SetRows, "__iter__", refuse)
+    monkeypatch.setattr(graphs.Graph, "neighbor_masks", refuse)
+    for n in (10, 20, 61):
+        assert [r.instance for r in suites._job_petersen(n, 0, 4)]
