@@ -10,21 +10,20 @@ and one per vertex neighbourhood, so its host graph is capped at
 ``BITSET_MAX_VERTICES`` (4096) vertices. A bramble that carries a
 claimed rotation (as the window bramble does) is validated once per
 orbit: the rotation must be a permutation of the vertex ids that maps
-the edge set onto itself, the sets must have one size, and it must map
-set i onto set i+1 (mod the number of sets). Then set 0 connected makes
-every set connected, and touching depends only on j - i, so set 0
-against every other set gives the same report as the scan over all
-pairs. This route reads the index matrix (sorted rows, compared with
-their images under the rotation) and builds neighbourhood masks for set
-0's members only. A failed symmetry check raises
+the edge set onto itself, the sets must have one size and no repeated
+id, and it must map set i onto set i+1 (mod the number of sets). Then
+set 0 connected makes every set connected, and touching depends only on
+j - i, so set 0 against every other set gives the same report as the
+scan over all pairs. This route reads the index matrix (sorted rows,
+compared with their images under the rotation) and builds neighbourhood
+masks for set 0's members only. A failed symmetry check raises
 :class:`StructuralError` rather than falling back to that scan, which
 stays the route for sets without a rotation. The transversal bounds
 here and in ``oracles.exact_transversal`` take plain set families such
-as ``Bramble.sets``; ``transversal_fraction_bound`` counts an index
-matrix with one ``bincount``. Claimed spectra are checked against integer
-trace moments in exact arithmetic rather than by floating point
-eigensolvers. The traces tr(A^p), p = 0..p_max, come from column
-blocks X = A^m[:, C] for m up to ceil(p_max/2): each step X -> A X sums
+as ``Bramble.sets``. Claimed spectra are checked against integer trace
+moments in exact arithmetic rather than by floating point eigensolvers.
+The traces tr(A^p), p = 0..p_max, come from column blocks X = A^m[:, C]
+for m up to ceil(p_max/2): each step X -> A X sums
 neighbour rows over the graph's CSR, and since A is symmetric,
 tr(A^2m) = sum X*X and tr(A^(2m+1)) = sum X*(A X) over all blocks. That
 is O(n^2 * deg * ceil(p_max/2)) time, and the block width is set so one
@@ -99,7 +98,8 @@ class _SetRows(Sequence):
     """A set family kept as one int64 index matrix ``rows``, one row per set.
 
     Items and slices are frozensets (a slice is a tuple of them), built
-    from the rows on access; a row may repeat an id.
+    from the rows on access. The orbit route of :func:`validate_bramble`
+    refuses rows that repeat an id.
     """
 
     def __init__(self, rows):
@@ -222,11 +222,8 @@ def _validate_orbit(g: Graph, bramble: Bramble) -> BrambleReport:
         rows = np.fromiter(itertools.chain.from_iterable(sets), dtype=np.int64, count=len(sets) * size)
         sets = _SetRows(rows.reshape(len(sets), size))
     rows, first = sets.distinct
-    if not first.all():  # a row repeats an id: keep each row's distinct ids, ascending
-        sizes = first.sum(axis=1)
-        if (sizes != sizes[0]).any():
-            raise StructuralError("orbit sets differ in size")
-        rows = rows[first].reshape(len(rows), -1)
+    if not first.all():
+        raise StructuralError("an orbit set repeats a vertex id")
     if rows.size and (rows.min() < 0 or rows.max() >= n):
         raise ParameterError("vertex id out of range")
     image = rho[rows]
@@ -252,19 +249,7 @@ def _validate_orbit(g: Graph, bramble: Bramble) -> BrambleReport:
 
 
 def transversal_fraction_bound(sets) -> Fraction:
-    """Sets-over-max-degree lower bound on the transversal number of a family such as ``Bramble.sets``.
-
-    A family kept as an index matrix is counted by one ``bincount`` over
-    each row's distinct ids; any other family by a ``Counter``.
-    """
-    if isinstance(sets, _SetRows):
-        rows, first = sets.distinct
-        if not len(rows):
-            raise ParameterError("transversal bound needs a non-empty set family")
-        if not rows.shape[1]:
-            raise ParameterError("sets must be non-empty")
-        members = rows[first]
-        return Fraction(len(rows), int(np.bincount(members - members.min()).max()))
+    """Sets-over-max-degree lower bound on the transversal number of a family such as ``Bramble.sets``."""
     sets = [frozenset(s) for s in sets]
     if not sets:
         raise ParameterError("transversal bound needs a non-empty set family")

@@ -124,8 +124,8 @@ def test_bramble_record_reads_sizes_off_for_a_repeated_id(monkeypatch):
     def repeated(n, k):
         bramble = petersen_bramble(n, k)
         rows = bramble.sets.rows.copy()
-        rows[:, 1] = rows[:, 0]  # every row repeats its first id, so the rows stay one orbit
-        return bounds.Bramble(bounds._SetRows(rows), bramble.rotation)
+        rows[:, 1] = rows[:, 0]  # every row repeats its first id
+        return bounds.Bramble(bounds._SetRows(rows))  # the orbit route refuses a repeated id; the pair scan takes it
 
     monkeypatch.setattr(bounds, "petersen_bramble", repeated)
     [record] = suites._job_petersen(30, 0, 1)
