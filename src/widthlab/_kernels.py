@@ -10,9 +10,9 @@ The subset DPs visit the 2^n subsets in descending popcount layers, so
 a subset is processed after all of its supersets. A layer is enumerated
 in blocks of (high-half subsets of popcount a) x (low-half subsets of
 popcount k - a), at most 2^15 subsets per block, and the neighbour
-union of a subset is two lookups in half-width tables. The only arrays
-with 2^n entries are therefore the int8 tables the DPs return; the
-separation DP also reads the boundary table.
+union of a subset is two lookups in half-width tables, so the separation
+DP finds each subset's inner boundary inside its own sweep. The only
+array with 2^n entries is therefore the one int8 table a DP returns.
 
 Table semantics shared by the subset DPs: for an eliminated/placed set
 ``S`` (bitmask), ``table[S]`` is the best achievable cost over all ways
@@ -101,33 +101,26 @@ def elim_table(nbrs: np.ndarray, n: int) -> np.ndarray:
     return g
 
 
-def boundary_table(nbrs: np.ndarray, n: int) -> np.ndarray:
-    """Inner-boundary size of every vertex subset: |S & N(V \\ S)|."""
-    nb = _neighbour_union(nbrs, n)
-    full = (1 << n) - 1
-    b = np.empty(1 << n, dtype=np.int8)
-    for _, s in _layer_blocks(n):
-        b[s] = np.bitwise_count(s & nb(full ^ s))
-    return b
-
-
-def sep_table(boundary: np.ndarray, n: int) -> np.ndarray:
+def sep_table(nbrs: np.ndarray, n: int) -> np.ndarray:
     """Finished table of the vertex-separation DP (pathwidth).
 
-    done[S] = max(boundary[S], h[S]), where h[S] is the suffix cost:
-    the least width over all ways of placing the rest after S.
+    done[S] = max(|S & N(V \\ S)|, h[S]): the inner boundary of S and
+    the suffix cost h[S], the least width over all ways of placing the
+    rest after S.
     """
+    nb = _neighbour_union(nbrs, n)
+    full = (1 << n) - 1
     # 127 until S's layer is done, so that v already in S (S | bit == S)
     # never wins the minimum
     done = np.full(1 << n, 127, dtype=np.int8)
-    done[-1] = boundary[-1]  # the full set: boundary 0, nothing remains
+    done[-1] = 0  # the full set: no boundary, nothing remains
     for k, s in _layer_blocks(n):
         if k == n:
             continue
         best = np.full(len(s), 127, dtype=np.int8)
         for v in range(n):
             np.minimum(best, done[s | (1 << v)], out=best)
-        done[s] = np.maximum(boundary[s], best)
+        done[s] = np.maximum(np.bitwise_count(s & nb(full ^ s)), best)
     return done
 
 

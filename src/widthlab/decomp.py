@@ -426,14 +426,6 @@ def write_td(d: Decomposition, num_vertices: int, path) -> None:
         fh.writelines(lines)
 
 
-class _VertexIds(dict):
-    """Token -> ``int(token) - 1``; each distinct token is converted once."""
-
-    def __missing__(self, token):
-        self[token] = v = int(token) - 1
-        return v
-
-
 def read_td(path):
     """Parse a PACE .td file; returns (Decomposition, declared_num_vertices).
 
@@ -506,7 +498,6 @@ def _read_td_lines(path):
     header = None
     bags = {}  # bag id -> 0-based vertex ids
     ends = []  # 0-based bag-tree edge ends
-    ids = _VertexIds()
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, 1):
             parts = raw.split()  # split() and strip() agree on whitespace: parts[0] starts the stripped line
@@ -530,7 +521,7 @@ def _read_td_lines(path):
             if parts[0] == "b":
                 try:
                     bag_id = int(parts[1])
-                    content = list(map(ids.__getitem__, parts[2:]))
+                    content = [int(x) - 1 for x in parts[2:]]
                 except (IndexError, ValueError):
                     raise ParseError("malformed bag line", lineno)
                 if bag_id in bags:

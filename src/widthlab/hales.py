@@ -31,8 +31,6 @@ __all__ = [
     "verify_hales_property",
 ]
 
-PREFIX_CHECK_CAP = 16  # vertices; verify_hales_property refuses larger graphs
-
 
 def word_bits(rows: np.ndarray, n: int) -> np.ndarray:
     """uint8 0/1 matrix of length-n words: entry [i, j] is coordinate j+1 (bit j) of ``rows[i]``."""
@@ -98,12 +96,11 @@ def verify_hales_property(graph) -> HalesReport:
     Condition 2: the interior vertices of each prefix (those with no
     neighbor outside it) are exactly the lowest-numbered ones. The
     reference minima come from :func:`widthlab.oracles.bv_table`, never
-    from the formulas under test; graphs beyond :data:`PREFIX_CHECK_CAP`
-    vertices are refused rather than sampled.
+    from the formulas under test; graphs beyond its
+    :data:`widthlab.oracles.BV_CAP` vertices are refused rather than
+    sampled.
     """
     n = graph.num_vertices
-    if n > PREFIX_CHECK_CAP:
-        raise SizeCapError(f"exhaustive prefix check capped at {PREFIX_CHECK_CAP} vertices, graph has {n}")
     from . import oracles  # local import; oracles depends on graphs
 
     bv = oracles.bv_table(graph)

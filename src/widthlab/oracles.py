@@ -37,10 +37,9 @@ __all__ = [
     "exact_transversal",
 ]
 
-# Memory bound of the subset DPs: the treewidth DP holds one 2^n int8
-# table, the pathwidth DP two (boundary and separation), and every DP
-# works in blocks of at most 2^15 subsets. That is 1 MB per table at
-# n = 20 and 32 MB per table at the 25-vertex cap.
+# Memory bound of the subset DPs: each holds at most one 2^n int8 table
+# and works in blocks of at most 2^15 subsets. That is 1 MB at n = 20
+# and 32 MB at the 25-vertex cap.
 TW_CAP = 25
 PW_CAP = 25
 BW_CAP = 12
@@ -108,9 +107,8 @@ def exact_pathwidth(g: Graph):
     _check_cap("exact pathwidth", n, PW_CAP)
     if n == 0:
         raise ParameterError("pathwidth of the empty graph is undefined")
-    boundary = _kernels.boundary_table(_masks_u64(g), n)
-    table = _kernels.sep_table(boundary, n)
-    width = int(table[0])  # boundary[0] = 0
+    table = _kernels.sep_table(_masks_u64(g), n)
+    width = int(table[0])
     return width, _greedy_order(n, lambda s, v: int(table[s | 1 << v]) <= width)
 
 

@@ -410,7 +410,7 @@ def _jobs_appendix_b(params):
 
 
 def _jobs_hales(params):
-    # fixed grid: larger n meets the 16-vertex prefix and 20-vertex bv_table caps, larger t only complete graphs
+    # fixed grid: larger n meets the 20-vertex bv_table cap, larger t only complete graphs
     jobs = [(_job_hales, (t, n)) for t in range(1, 4) for n in range(1, 5)]
     jobs += [(_job_harper, (t, 4)) for t in range(1, 4)]
     return jobs
@@ -541,6 +541,8 @@ def _table_johnson_slice(grid):
 def _table_petersen_bounds(grid):
     for n in grid["n"]:
         for k in grid["k"]:
+            if k < 1:
+                raise ParameterError(f"GP(n, k) needs k >= 1, got k={k}")
             if 2 * k >= n:
                 continue
             t = -(-n // (2 * k + 2))

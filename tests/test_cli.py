@@ -436,6 +436,17 @@ def test_table_petersen_bounds(tmp_path):
     rows = out.read_text().strip().splitlines()
     assert rows[0] == "n,k,target,order_bound,construction_width"
     assert rows[1] == "288,1,3,4,4"
+    # n <= 2k is skipped, not refused: GP(n, k) is only structured below it
+    assert run(["table", "--formula", "petersen_bounds", "--n", "1:4", "--k", "1", "--out", str(out)]) == 0
+    assert out.read_text() == "n,k,target,order_bound,construction_width\n3,1,3,2,4\n4,1,3,2,4\n"
+
+
+@pytest.mark.parametrize("k", ["0", "-2"])
+def test_table_petersen_bounds_refuses_k_below_one(k, capsys):
+    # GP(n, k) with k < 1 is not a family member
+    assert run(["table", "--formula", "petersen_bounds", "--n", "5", f"--k={k}"]) == 2
+    printed = capsys.readouterr()
+    assert printed.out == "" and printed.err.startswith("error: ")
 
 
 def test_spectrum_formula_only_branch(tmp_path):

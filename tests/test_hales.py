@@ -134,6 +134,14 @@ def test_size_cap():
         hales.verify_hales_property(g)
 
 
+def test_prefix_check_runs_to_the_bv_table_cap():
+    # J(6, 3) has 20 vertices, the most oracles.bv_table takes
+    g = graphs.gen_johnson(6, 3)
+    report = hales.verify_hales_property(g)
+    assert report.bv == tuple(int(x) for x in oracles.bv_table(g))
+    assert not report.ok and report.first_violation == 6
+
+
 def test_slice_word_width_cap():
     # words are uint32 bitmasks: n = 32 is the widest slice
     assert hales.slice_order(32, 1).tolist() == [1 << j for j in range(31, -1, -1)]

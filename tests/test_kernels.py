@@ -6,6 +6,7 @@ check.
 """
 
 import itertools
+import tracemalloc
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -143,10 +144,10 @@ random_graphs = st.tuples(
 @example(graphs.gen_johnson(5, 2))
 def test_subset_tables_match(g):
     masks, n = _masks(g), g.num_vertices
-    fast = (_kernels.elim_table(masks, n), _kernels.boundary_table(masks, n), _kernels.bv_table(masks, n))
-    fast += (_kernels.sep_table(fast[1], n),)
-    slow = (_elim_table_py(masks, n), _boundary_table_py(masks, n), _bv_table_py(masks, n))
-    slow += (np.maximum(slow[1], _sep_table_py(slow[1], n)),)  # the kernel returns max(boundary, suffix)
+    fast = (_kernels.elim_table(masks, n), _kernels.sep_table(masks, n), _kernels.bv_table(masks, n))
+    boundary = _boundary_table_py(masks, n)
+    # the kernel returns max(inner boundary, suffix)
+    slow = (_elim_table_py(masks, n), np.maximum(boundary, _sep_table_py(boundary, n)), _bv_table_py(masks, n))
     for a, b in zip(fast, slow):
         assert a.dtype == b.dtype
         assert np.array_equal(a, b)
@@ -155,11 +156,29 @@ def test_subset_tables_match(g):
 def test_oracles_match_reference_kernels(monkeypatch):
     g = graphs.gen_petersen(5, 2)
     fast = (oracles.exact_treewidth(g), oracles.exact_pathwidth(g), list(oracles.bv_table(g)))
-    for name in ("elim_table", "boundary_table", "bv_table"):
+    for name in ("elim_table", "bv_table"):
         monkeypatch.setattr(_kernels, name, globals()[f"_{name}_py"])
-    monkeypatch.setattr(_kernels, "sep_table", lambda b, n: np.maximum(b, _sep_table_py(b, n)))
+
+    def sep_table(nbrs, n):
+        boundary = _boundary_table_py(nbrs, n)
+        return np.maximum(boundary, _sep_table_py(boundary, n))
+
+    monkeypatch.setattr(_kernels, "sep_table", sep_table)
     slow = (oracles.exact_treewidth(g), oracles.exact_pathwidth(g), list(oracles.bv_table(g)))
     assert fast == slow
+
+
+def test_pathwidth_dp_holds_one_table():
+    # GP(11, 2) has 22 vertices, so its int8 table is 2^22 bytes; a
+    # second 2^n table would take the peak past the bound
+    g = graphs.gen_petersen(11, 2)
+    tracemalloc.start()
+    try:
+        oracles.exact_pathwidth(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.75 * 2**22
 
 
 def test_layer_blocks_cover_each_subset_once():
