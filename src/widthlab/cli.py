@@ -218,10 +218,8 @@ def _cmd_oracle(args) -> int:
         table = oracles.bv_table(g)
         value, cert = [int(x) for x in table], None
     elif what == "separator":
-        tw, _ = oracles.exact_treewidth(g)
-        found = oracles.min_balanced_separator(g, tw + 1)
-        value = len(found[0]) if found else None
-        cert = found
+        cert = oracles.min_balanced_separator(g)
+        value = len(cert[0])
     else:
         raise ParameterError(f"unknown oracle {what!r}")
     payload = {"instance": instance, "oracle": what, "value": value, "certificate": cert}

@@ -490,32 +490,29 @@ def _scan_graph(data: bytes):
     if min(nverts, medges) < 0 or nverts > MAX_VERTICES or len(head) - 1 != medges or (size[1:] != 2).any():
         return None
     ends = np.column_stack([tok.value[head[1:]], tok.value[head[1:] + 1]])
-    lo, hi = ends.min(axis=1), ends.max(axis=1)
-    if medges and (lo.min() < 1 or hi.max() > nverts or (lo == hi).any()):
-        return None
-    if _repeats(lo * (nverts + 1) + hi):
-        return None
     # label comments: 'c... label <v> <literal>', the literal running to the end of its line
     long_comment = comment & (tok.size >= 4)
     first, last = tok.head[long_comment], tok.head[long_comment] + tok.size[long_comment] - 1
     named = tok.equals(first + 1, "label")
     first, last = first[named], last[named]
-    if not len(first):
-        return Graph(nverts, ends - 1)
-    vertex = tok.value[first + 2]
-    if vertex.min() < 1 or vertex.max() > nverts or _repeats(vertex):
-        return None
-    text = data.decode("ascii")
-    labels = list(range(nverts))
-    for v, a, z in zip(vertex.tolist(), tok.start[first + 3].tolist(), tok.end[last].tolist()):
-        try:
-            labels[v - 1] = _label(text[a:z])
-            hash(labels[v - 1])
-        except (ValueError, SyntaxError, TypeError):
+    labels = None
+    if len(first):
+        vertex = tok.value[first + 2]
+        if vertex.min() < 1 or vertex.max() > nverts or _repeats(vertex):
             return None
-    if len(set(labels)) != nverts:
+        text = data.decode("ascii")
+        labels = list(range(nverts))
+        for v, a, z in zip(vertex.tolist(), tok.start[first + 3].tolist(), tok.end[last].tolist()):
+            try:
+                labels[v - 1] = _label(text[a:z])
+            except (ValueError, SyntaxError, TypeError):
+                return None
+    # Graph refuses bad ends, self-loops and unhashable or colliding labels, and merges repeated edges
+    try:
+        g = Graph(nverts, ends - 1, labels=labels)
+    except (ParameterError, TypeError):
         return None
-    return Graph(nverts, ends - 1, labels=labels)
+    return g if g.num_edges == medges else None
 
 
 def read_graph(path) -> Graph:

@@ -112,21 +112,6 @@ def exact_pathwidth(g: Graph):
     return width, _greedy_order(n, lambda s, v: int(table[s | 1 << v]) <= width)
 
 
-def _order_bandwidth(masks, order) -> int:
-    pos = {v: i for i, v in enumerate(order)}
-    worst = 0
-    for v in order:
-        m = masks[v]
-        while m:
-            b = m & -m
-            m ^= b
-            u = b.bit_length() - 1
-            if u < v:
-                continue
-            worst = max(worst, abs(pos[u] - pos[v]))
-    return worst
-
-
 def _distances(masks, n: int) -> list:
     """All-pairs distances (Floyd-Warshall); other components are n apart."""
     dist = [[0 if u == v else 1 if (masks[u] >> v) & 1 else n for v in range(n)] for u in range(n)]
@@ -200,31 +185,27 @@ def exact_bandwidth(g: Graph):
     _check_cap("exact bandwidth", n, BW_CAP)
     if n == 0:
         raise ParameterError("bandwidth of the empty graph is undefined")
-    masks = g.neighbor_masks()
     if g.num_edges == 0:
         return 0, list(range(n))
 
-    best = None
-    best_order = None
+    best, best_order = n, None  # every layout is narrower than n
+    pos = np.empty(n, dtype=np.int64)
     for start in range(n):
         seen = [start]
-        mask = 1 << start
-        for v in seen:
-            m = masks[v] & ~mask
-            while m:
-                b = m & -m
-                m ^= b
-                seen.append(b.bit_length() - 1)
-                mask |= b
-        for v in range(n):
-            if not (mask >> v) & 1:
-                seen.append(v)
-                mask |= 1 << v
-        w = _order_bandwidth(masks, seen)
-        if best is None or w < best:
-            best, best_order = w, list(seen)
+        reached = [False] * n
+        reached[start] = True
+        for v in seen:  # neighbours come ascending: each vertex queues its unreached ones lowest first
+            for u in g.neighbors(v).tolist():
+                if not reached[u]:
+                    reached[u] = True
+                    seen.append(u)
+        seen += [v for v in range(n) if not reached[v]]
+        pos[seen] = np.arange(n)
+        w = int(np.abs(pos[g.edges[:, 0]] - pos[g.edges[:, 1]]).max())
+        if w < best:
+            best, best_order = w, seen
 
-    dist = _distances(masks, n)
+    dist = _distances(g.neighbor_masks(), n)
     for b in range(_ball_lower_bound(dist, n), best):
         order = _first_layout(dist, n, b)
         if order is not None:
@@ -239,22 +220,19 @@ def bv_table(g: Graph) -> np.ndarray:
     return _kernels.bv_table(_masks_u64(g), n)
 
 
-def min_balanced_separator(g: Graph, size_cap: int):
+def min_balanced_separator(g: Graph):
     """Smallest separator X splitting the rest into parts of at most 2/3 each.
 
     Its size is min over a of s(a) = max(b_v(a), n - 3a), over the a
     with 3a <= 2(n - s(a)): a best a-set is cut off by its boundary
     padded to s(a) vertices, and no separator with a side of size a is
     smaller. Among the sets of that size the lexicographically first
-    separator wins. Returns ``(X, A, B)`` with no edge between A and B,
-    or None when that size exceeds size_cap.
+    separator wins. Returns ``(X, A, B)`` with no edge between A and B.
     """
     n = g.num_vertices
     _check_cap("balanced separator search", n, SEPARATOR_CAP)
     sizes = [max(boundary, n - 3 * a) for a, boundary in enumerate(bv_table(g).tolist())]
     size = min(s for a, s in enumerate(sizes) if 3 * a <= 2 * (n - s))  # a = 0 always qualifies
-    if size > size_cap:
-        return None
     masks = g.neighbor_masks()
     full = (1 << n) - 1
     for xs in combinations(range(n), size):

@@ -360,21 +360,20 @@ def _job_consistency(name: str) -> list:
     tw, _ = oracles.exact_treewidth(g)
     pw, _ = oracles.exact_pathwidth(g)
     recs.append(_rec_cmp(f"consistency {name} tw_le_pw", tw <= pw, f"tw={tw} <= pw={pw}", "tw <= pw"))
-    bv = oracles.bv_table(g) if g.num_vertices <= oracles.BV_CAP else None
-    if g.num_vertices <= oracles.BW_CAP:  # below BV_CAP, so bv is set
+    bv = oracles.bv_table(g)
+    if g.num_vertices <= oracles.BW_CAP:
         bw, _ = oracles.exact_bandwidth(g)
         recs.append(_rec_cmp(f"consistency {name} pw_le_bw", pw <= bw, f"pw={pw} <= bw={bw}", "pw <= bw"))
         recs.append(_rec_cmp(f"consistency {name} maxbv_le_bw", int(max(bv[1:])) <= bw, f"max b_v={int(max(bv[1:]))} <= bw={bw}", "max b_v <= bw"))
-    if bv is not None:
-        recs.append(_rec_cmp(f"consistency {name} pw_ge_bv", all(pw >= int(bv[s]) for s in range(1, g.num_vertices + 1)), "pw >= b_v(s) for all s", "pw >= b_v(s) for all s"))
-        quarter = [int(bv[s]) for s in range(math.ceil(g.num_vertices / 4), g.num_vertices // 2 + 1)]
-        if quarter:
-            c = min(quarter)
-            recs.append(_rec_cmp(f"consistency {name} boundary_tw", tw >= c - 1, f"tw={tw} >= {c - 1}", "tw >= min mid-range boundary - 1"))
+    recs.append(_rec_cmp(f"consistency {name} pw_ge_bv", all(pw >= int(bv[s]) for s in range(1, g.num_vertices + 1)), "pw >= b_v(s) for all s", "pw >= b_v(s) for all s"))
+    quarter = [int(bv[s]) for s in range(math.ceil(g.num_vertices / 4), g.num_vertices // 2 + 1)]
+    if quarter:
+        c = min(quarter)
+        recs.append(_rec_cmp(f"consistency {name} boundary_tw", tw >= c - 1, f"tw={tw} >= {c - 1}", "tw >= min mid-range boundary - 1"))
     recs.append(_rec_cmp(f"consistency {name} degree_le_tw", bounds.degree_lower_bound(g) <= tw, f"delta={bounds.degree_lower_bound(g)} <= tw={tw}", "delta <= tw"))
     if g.num_vertices <= oracles.SEPARATOR_CAP:
-        sep = oracles.min_balanced_separator(g, tw + 1)
-        recs.append(_rec_cmp(f"consistency {name} separator", sep is not None, "separator of size <= tw+1 exists" if sep else "missing", "separator of size <= tw+1 exists"))
+        small = len(oracles.min_balanced_separator(g)[0]) <= tw + 1
+        recs.append(_rec_cmp(f"consistency {name} separator", small, "separator of size <= tw+1 exists" if small else "missing", "separator of size <= tw+1 exists"))
     return recs
 
 
@@ -509,7 +508,16 @@ def write_report(config: SuiteConfig, records, stream) -> None:
 # ----------------------------------------------------------------------
 
 
+def _refuse_below_one(formula: str, grid) -> None:
+    """Refuse t < 1 and n < 1, which the structured ranges below would skip without a word."""
+    for t in grid["t"]:
+        for n in grid["n"]:
+            if t < 1 or n < 1:
+                raise ParameterError(f"{formula} needs t >= 1 and n >= 1, got t={t} n={n}")
+
+
 def _table_bw_closed(grid):
+    _refuse_below_one("bw_closed", grid)
     # only the structured range t < n; beyond it the value collapses to 2^n - 1
     for t in grid["t"]:
         for n in grid["n"]:
@@ -518,6 +526,7 @@ def _table_bw_closed(grid):
 
 
 def _table_radius_closed(grid):
+    _refuse_below_one("radius_closed", grid)
     for n in grid["n"]:
         for (t, nn, k, s) in _valid_radius_tuples(n):
             if t not in grid["t"]:

@@ -77,9 +77,12 @@ def test_no_flag_lifts_a_size_cap(monkeypatch):
     def refuse(*args):
         raise AssertionError("a subset DP started")
 
-    monkeypatch.setattr(oracles._kernels, "elim_table", refuse)
+    for kernel in ("elim_table", "bv_table"):
+        monkeypatch.setattr(oracles._kernels, kernel, refuse)
     petersen = ["oracle", "--family", "petersen", "--n", "13", "--k", "2", "--what", "tw"]
     assert run(petersen) == 2  # 26 vertices are over TW_CAP = 25
+    # 20 vertices are over SEPARATOR_CAP = 18
+    assert run(["oracle", "--family", "bipartite_kneser", "--n", "5", "--k", "2", "--what", "separator"]) == 2
     for argv in (petersen + ["--cap", "26"], ["bw", "--t", "1", "--n", "3", "--cap", "6"]):
         with pytest.raises(SystemExit) as err:
             run(argv)
@@ -297,6 +300,20 @@ def test_oracle_json(tmp_path):
     assert sorted(payload["certificate"]) == list(range(10))
 
 
+def test_oracle_separator_runs_no_treewidth_dp(monkeypatch, capsys):
+    def refuse(g):
+        raise AssertionError("the treewidth DP ran")
+
+    monkeypatch.setattr(oracles, "exact_treewidth", refuse)
+    assert run(["oracle", "--family", "petersen", "--n", "5", "--k", "2", "--what", "separator"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "instance": "petersen t=1 q=2 n=5 k=2",
+        "oracle": "separator",
+        "value": 4,
+        "certificate": [[0, 2, 8, 9], [1, 6], [3, 4, 5, 7]],
+    }
+
+
 def test_suite_theorem1_passes(tmp_path, capsys):
     out = tmp_path / "r.json"
     # narrower than the defaults, which the shared suite runner already covers
@@ -419,6 +436,31 @@ def test_table_bw_closed_row_count(tmp_path):
     rows = out.read_text().strip().splitlines()
     assert rows[0] == "t,n,value"
     assert len(rows) - 1 == 24  # only the pairs with t < n
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        ["radius_closed", "--t", "0", "--n", "5"],
+        ["radius_closed", "--t=-3", "--n", "5"],
+        ["radius_closed", "--t", "0:1", "--n", "4"],  # the t = 1 rows alone would pass for the grid
+        ["bw_closed", "--t", "1", "--n", "0"],
+        ["bw_closed", "--t", "1", "--n=-4"],
+        ["bw_closed", "--t", "0", "--n", "3"],
+    ],
+)
+def test_table_refuses_t_or_n_below_one(grid, capsys):
+    assert run(["table", "--formula", *grid]) == 2
+    printed = capsys.readouterr()
+    assert printed.out == "" and printed.err.startswith("error: ")
+
+
+def test_table_radius_closed_rows(capsys):
+    assert run(["table", "--formula", "radius_closed", "--t", "1:2", "--n", "4"]) == 0
+    assert capsys.readouterr().out == (
+        "t,n,k,s,value\n1,4,0,0,4\n1,4,1,0,7\n1,4,2,0,7\n1,4,3,0,4\n2,4,0,0,6\n2,4,1,0,6\n"
+        "2,4,2,0,6\n2,4,0,1,-inf\n2,4,1,1,7\n2,4,2,1,10\n2,4,3,1,7\n2,4,4,1,-inf\n"
+    )
 
 
 def test_table_unknown_formula():

@@ -108,23 +108,22 @@ def test_size_caps():
     with pytest.raises(SizeCapError):
         oracles.bv_table(big)
     with pytest.raises(SizeCapError):
-        oracles.min_balanced_separator(graphs.gen_bipartite_kneser(5, 2), 5)
+        oracles.min_balanced_separator(graphs.gen_bipartite_kneser(5, 2))
 
 
 def test_balanced_separator_examples():
-    x, a, b = oracles.min_balanced_separator(path(5), 4)
+    x, a, b = oracles.min_balanced_separator(path(5))
     assert len(x) == 1
-    x, a, b = oracles.min_balanced_separator(cycle(6), 4)
+    x, a, b = oracles.min_balanced_separator(cycle(6))
     assert len(x) == 2
-    assert oracles.min_balanced_separator(complete(5), 1) is None
+    x, a, b = oracles.min_balanced_separator(complete(5))
+    assert len(x) == len(_min_balanced_separator_reference(complete(5), 5)[0])
 
 
 def test_balanced_separator_is_valid_partition():
     g = graphs.gen_petersen(5, 2)
     tw, _ = oracles.exact_treewidth(g)
-    found = oracles.min_balanced_separator(g, tw + 1)
-    assert found is not None
-    x, a, b = found
+    x, a, b = oracles.min_balanced_separator(g)
     assert len(x) <= tw + 1
     rest = len(a) + len(b)
     assert 3 * len(a) <= 2 * rest and 3 * len(b) <= 2 * rest
@@ -324,6 +323,21 @@ def test_pathwidth_order_is_lexicographically_smallest_optimum(g):
 # ----------------------------------------------------------------------
 
 
+def _order_bandwidth(masks, order) -> int:
+    pos = {v: i for i, v in enumerate(order)}
+    worst = 0
+    for v in order:
+        m = masks[v]
+        while m:
+            b = m & -m
+            m ^= b
+            u = b.bit_length() - 1
+            if u < v:
+                continue
+            worst = max(worst, abs(pos[u] - pos[v]))
+    return worst
+
+
 def _exact_bandwidth_reference(g):
     """Branch and bound over orderings, pruned only against the incumbent."""
     n = g.num_vertices
@@ -347,7 +361,7 @@ def _exact_bandwidth_reference(g):
             if not (mask >> v) & 1:
                 seen.append(v)
                 mask |= 1 << v
-        w = oracles._order_bandwidth(masks, seen)
+        w = _order_bandwidth(masks, seen)
         if best is None or w < best:
             best, best_order = w, list(seen)
 
@@ -483,14 +497,7 @@ SEPARATOR_ZOO = {name: g for name, build in suites._ZOO for g in [build()] if g.
 
 @pytest.mark.parametrize("g", SEPARATOR_ZOO.values(), ids=SEPARATOR_ZOO.keys())
 def test_balanced_separator_matches_reference_on_zoo(g):
-    # The reference tries sizes 0..min(size_cap, n) in turn, so at a
-    # size_cap below the size it finds at size_cap = n it returns None
-    # (it runs a prefix of the same loop); one full call gives every cap.
-    n = g.num_vertices
-    found = _min_balanced_separator_reference(g, n)
-    for size_cap in range(n + 1):
-        expected = found if len(found[0]) <= size_cap else None
-        assert oracles.min_balanced_separator(g, size_cap) == expected, size_cap
+    assert oracles.min_balanced_separator(g) == _min_balanced_separator_reference(g, g.num_vertices)
 
 
 @settings(max_examples=60, deadline=None)
@@ -501,8 +508,7 @@ def test_balanced_separator_matches_reference_on_zoo(g):
 @example(graphs.Graph(1, []))
 @example(graphs.Graph(9, []))  # edgeless
 def test_balanced_separator_matches_reference(g):
-    for size_cap in range(-1, g.num_vertices + 2):
-        assert oracles.min_balanced_separator(g, size_cap) == _min_balanced_separator_reference(g, size_cap), size_cap
+    assert oracles.min_balanced_separator(g) == _min_balanced_separator_reference(g, g.num_vertices)
 
 
 # ----------------------------------------------------------------------
