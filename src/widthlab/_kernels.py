@@ -19,6 +19,12 @@ Table semantics shared by the subset DPs: for an eliminated/placed set
 of completing ``S`` to the full vertex set, with ``-1`` as the lattice
 bottom for "nothing remains". Optimal orders are reconstructed greedily
 by the callers in :mod:`widthlab.oracles`.
+
+The elimination DP floods a component only where it can still win:
+max(|N(v) \\ S|, table[S + v]) bounds the candidate of (S, v) from
+below and costs no flood, so rows whose bound already reaches the best
+candidate are skipped. A skipped candidate could not have lowered the
+minimum, so every table entry is the one the full sweep computes.
 """
 
 from __future__ import annotations
@@ -76,6 +82,13 @@ def elim_table(nbrs: np.ndarray, n: int) -> np.ndarray:
     Eliminating v after S costs q(S, v) = |N(C) \\ C|, where C is the
     component of v in G[S + v]: every neighbour of C inside S belongs
     to C, so N(C) \\ C is exactly the set v is joined to by fill edges.
+
+    Every neighbour of v outside S lies in N(C) \\ C, so q(S, v) >=
+    |N(v) \\ S|, and max(|N(v) \\ S|, g[S + v]) is a lower bound on the
+    candidate max(q(S, v), g[S + v]). That bound is computed for a whole
+    block at once, and the flood runs only on the rows where it is below
+    the row's best so far; elsewhere the candidate cannot change the
+    minimum, so the table is exact.
     """
     nb = _neighbour_union(nbrs, n)
     g = np.empty(1 << n, dtype=np.int8)
@@ -86,7 +99,9 @@ def elim_table(nbrs: np.ndarray, n: int) -> np.ndarray:
         best = np.full(len(s), 127, dtype=np.int8)
         for v in range(n):
             bit = 1 << v
-            idx = np.flatnonzero((s & bit) == 0)
+            # the flood-free lower bound; rows with v in S read an unset entry and are dropped
+            lb = np.maximum(np.bitwise_count(int(nbrs[v]) & ~s).astype(np.int8), g[s | bit])
+            idx = np.flatnonzero(((s & bit) == 0) & (lb < best))
             sv = s[idx]
             comp = bit | (int(nbrs[v]) & sv)
             while True:  # flood C <- C | (nb(C) & S) to the fixed point
@@ -96,7 +111,7 @@ def elim_table(nbrs: np.ndarray, n: int) -> np.ndarray:
                     break
                 comp = grown
             q = np.bitwise_count(reach & ~comp).astype(np.int8)  # compared with the int8 table
-            best[idx] = np.minimum(best[idx], np.maximum(q, g[sv | bit]))
+            best[idx] = np.minimum(best[idx], np.maximum(q, lb[idx]))
         g[s] = best
     return g
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import io
 import json
 import sys
 
@@ -256,8 +257,10 @@ def _cmd_suite(args) -> int:
 
 def _cmd_table(args) -> int:
     grid = {"t": list(args.t), "n": list(args.n), "k": list(args.k), "s": list(args.s)}
+    table = io.StringIO()  # a refused grid raises here, before --out is opened
+    suites.emit_table(args.formula, grid, args.format, table)
     with _out_stream(args.out) as fh:
-        suites.emit_table(args.formula, grid, args.format, fh)
+        fh.write(table.getvalue())
     return EXIT_OK
 
 

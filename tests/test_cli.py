@@ -491,6 +491,21 @@ def test_table_petersen_bounds_refuses_k_below_one(k, capsys):
     assert printed.out == "" and printed.err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "grid",
+    [
+        ["petersen_bounds", "--n", "5", "--k", "0"],
+        ["bw_closed", "--t", "0", "--n", "3"],
+        ["radius_closed", "--t", "0:1", "--n", "4"],
+    ],
+)
+def test_refused_table_leaves_out_file_untouched(tmp_path, grid):
+    out = tmp_path / "t.csv"
+    out.write_bytes(b"keep")
+    assert run(["table", "--formula", *grid, "--out", str(out)]) == 2
+    assert out.read_bytes() == b"keep"
+
+
 def test_spectrum_formula_only_branch(tmp_path):
     out = tmp_path / "s5.json"
     assert run(["spectrum", "--k", "5", "--out", str(out)]) == 0

@@ -142,6 +142,13 @@ random_graphs = st.tuples(
 @example(graphs.gen_petersen(5, 2))
 @example(graphs.gen_hamming(2, 2, 3))
 @example(graphs.gen_johnson(5, 2))
+# the treewidth DP's lower bound lets one flood per subset through on
+# K_8 and on the edgeless graph, 68% of the (S, v) floods on the star
+# K_{1,7} and 49% on GP(7, 2)
+@example(graphs.Graph(8, list(itertools.combinations(range(8), 2))))
+@example(graphs.Graph(8, [(0, v) for v in range(1, 8)]))
+@example(graphs.Graph(7, []))
+@example(graphs.gen_petersen(7, 2))
 def test_subset_tables_match(g):
     masks, n = _masks(g), g.num_vertices
     fast = (_kernels.elim_table(masks, n), _kernels.sep_table(masks, n), _kernels.bv_table(masks, n))
@@ -154,8 +161,16 @@ def test_subset_tables_match(g):
 
 
 def test_oracles_match_reference_kernels(monkeypatch):
-    g = graphs.gen_petersen(5, 2)
-    fast = (oracles.exact_treewidth(g), oracles.exact_pathwidth(g), list(oracles.bv_table(g)))
+    gs = (
+        graphs.gen_petersen(5, 2),
+        graphs.gen_petersen(7, 2),
+        graphs.Graph(9, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6), (6, 3), (3, 5)]),  # a triangle, a chorded 4-cycle, two isolates
+    )
+
+    def answers():
+        return [(oracles.exact_treewidth(g), oracles.exact_pathwidth(g), list(oracles.bv_table(g))) for g in gs]
+
+    fast = answers()
     for name in ("elim_table", "bv_table"):
         monkeypatch.setattr(_kernels, name, globals()[f"_{name}_py"])
 
@@ -164,21 +179,27 @@ def test_oracles_match_reference_kernels(monkeypatch):
         return np.maximum(boundary, _sep_table_py(boundary, n))
 
     monkeypatch.setattr(_kernels, "sep_table", sep_table)
-    slow = (oracles.exact_treewidth(g), oracles.exact_pathwidth(g), list(oracles.bv_table(g)))
-    assert fast == slow
+    assert fast == answers()
+
+
+def _traced_peak(oracle, g):
+    tracemalloc.start()
+    try:
+        oracle(g)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_pathwidth_dp_holds_one_table():
     # GP(11, 2) has 22 vertices, so its int8 table is 2^22 bytes; a
     # second 2^n table would take the peak past the bound
-    g = graphs.gen_petersen(11, 2)
-    tracemalloc.start()
-    try:
-        oracles.exact_pathwidth(g)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.75 * 2**22
+    assert _traced_peak(oracles.exact_pathwidth, graphs.gen_petersen(11, 2)) < 1.75 * 2**22
+
+
+def test_treewidth_dp_holds_one_table():
+    # the DP's lower bound is computed per block, never as a second 2^n array
+    assert _traced_peak(oracles.exact_treewidth, graphs.gen_petersen(11, 2)) < 1.75 * 2**22
 
 
 def test_layer_blocks_cover_each_subset_once():
