@@ -112,9 +112,8 @@ def _job_radius_identities(n: int) -> list:
     for tup in tuples:
         t, _, k, s = tup
         by_block.setdefault((k, k + t - 2 * s), []).append(tup)
-    direct = {}
-    for (k, kp), group in by_block.items():
-        direct.update(zip(group, widthcalc.block_radii(n, k, kp, [tup[0] for tup in group])))
+    radii = widthcalc.block_radii(n, {kk: [tup[0] for tup in group] for kk, group in by_block.items()})
+    direct = {tup: r for kk, group in by_block.items() for tup, r in zip(group, radii[kk])}
     recs = []
     for tup in tuples:
         t, nn, k, s = tup

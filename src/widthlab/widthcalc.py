@@ -10,7 +10,9 @@ ways so the test suite can cross-check them:
   distances of a (n, k, kp) block do not depend on t, so
   :func:`distance_block` computes them once as uint8 and each
   distance-t block is its threshold ``1 <= d <= t``;
-  :func:`block_radii` scans one such threshold per requested t;
+  :func:`block_radii` takes all blocks of one n, builds the slice
+  orders once, and scans each block once per requested t with one
+  comparison and one argmax over its reversed rows;
 * recursively, via the 2x2 sub-block split of each slice block with
   anchor-shift offsets (:func:`radius_recursive`, :func:`bw_recursion`);
 * in closed form (:func:`radius_closed`, :func:`bw_closed`).
@@ -102,18 +104,54 @@ def assemble_block(t: int, n: int, k: int, kp: int) -> np.ndarray:
     return _within(distance_block(n, k, kp), t).view(np.uint8)
 
 
-def block_radii(n: int, k: int, kp: int, ts) -> list:
-    """Direct anchor radius of the (k, kp) block at each threshold t in ``ts``.
+def block_radii(n: int, blocks) -> dict:
+    """Direct anchor radii of many (k, kp) blocks of one n, at thresholds per block.
 
-    Equal to ``manhattan_radius(assemble_block(t, n, k, kp))`` for each
-    t, but the distance block is computed once and only thresholded
-    per t.
+    ``blocks`` maps each (k, kp) to its thresholds ts; the result maps
+    it to the list of radii, with ``result[(k, kp)][i]`` equal to
+    ``manhattan_radius(assemble_block(ts[i], n, k, kp))``. Every
+    argument and size cap is checked before any block is built, and
+    the slice orders of n are built once for all blocks.
+
+    Each block is scanned with its columns reversed and 1 subtracted
+    from its uint8 distances, so a threshold is one comparison
+    ``d - 1 < t`` and one argmax along contiguous rows finds each row's
+    last entry. Distance 0 wraps to 255, which no threshold reaches:
+    distances are at most n <= ``BLOCK_MAX_N`` < 255 and t is clamped
+    to n. Each block's arrays are freed before the next one is built,
+    so the traced peak is about 5 bytes per entry of the largest block
+    (its uint32 word products before the count).
     """
-    ts = list(ts)
-    if any(t < 0 for t in ts):
-        raise ParameterError(f"block_radii needs every t >= 0, got ts={ts}")
-    d = distance_block(n, k, kp)
-    return [manhattan_radius(_within(d, t)) for t in ts]
+    blocks = {kk: list(ts) for kk, ts in blocks.items()}
+    low = min((t for ts in blocks.values() for t in ts), default=0)
+    if n < 1 or low < 0:
+        raise ParameterError(f"block_radii needs n >= 1 and every t >= 0, got n={n} and t={low}")
+    if n > BLOCK_MAX_N:
+        raise SizeCapError(f"block assembly capped at n={BLOCK_MAX_N}, got n={n}")
+    for k, kp in blocks:
+        if binom_ext(n, k) * binom_ext(n, kp) > BLOCK_MAX_ELEMS:
+            raise SizeCapError(f"block with {binom_ext(n, k)}x{binom_ext(n, kp)} entries exceeds the dense cap")
+    orders = [hales.slice_order(n, w) for w in range(n + 1)]
+    return {
+        (k, kp): _reversed_radii(orders[k], orders[kp], ts, n) if 0 <= k <= n and 0 <= kp <= n else [NEG_INF] * len(ts)
+        for (k, kp), ts in blocks.items()
+    }
+
+
+def _reversed_radii(rows: np.ndarray, cols: np.ndarray, ts: list, n: int) -> list:
+    """Radii of one block at each t in ``ts``, from its reversed, shifted distances (see :func:`block_radii`)."""
+    below = np.bitwise_count(rows[:, None] ^ cols[::-1][None, :])
+    below -= 1
+    ii = np.arange(len(rows))
+    hit = np.empty(below.shape, dtype=bool)
+    radii = []
+    for t in ts:
+        np.less(below, min(t, n), out=hit)
+        back = hit.argmax(axis=1)  # columns from the right: 0 also for a row without a hit
+        lead = (ii + back)[hit[ii, back]]
+        # last - i = (cols - 1 - back) - i, so the radius is rows + cols - 1 - min(i + back)
+        radii.append(int(len(rows) + len(cols) - 1 - lead.min()) if lead.size else NEG_INF)
+    return radii
 
 
 def assemble_full(t: int, n: int) -> np.ndarray:

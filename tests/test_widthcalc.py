@@ -1,6 +1,7 @@
 """Block matrices, radii, bandwidth formulas, and the boundary bound."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -171,15 +172,60 @@ def test_distance_block_caps_and_empty_convention():
         wc.distance_block(wc.BLOCK_MAX_N + 1, 1, 2)
     with pytest.raises(ParameterError):
         wc.distance_block(0, 0, 0)
-    with pytest.raises(ParameterError):
-        wc.block_radii(3, 1, 2, [1, -1])
     # large blocks, and words of more than 16 bits
     for (t, n, k, kp) in [(4, 12, 6, 6), (5, 13, 6, 7), (3, 17, 1, 2), (3, 17, 8, 1)]:
         assert np.array_equal(wc.assemble_block(t, n, k, kp), _block_bits_reference(t, n, k, kp)), (t, n, k, kp)
 
 
+def test_block_radii_match_assembled_blocks():
+    # t >= 256 on the (0, 0) and (n, n) blocks reaches the wrapped
+    # distance 0 unless t is clamped to n
+    for n in range(1, 10):
+        ts = list(range(0, n + 2))
+        blocks = {(k, kp): ts for k in range(-1, n + 2) for kp in range(-1, n + 2)}
+        blocks[(0, 0)] = blocks[(n, n)] = ts + [255, 256, 10**6]
+        radii = wc.block_radii(n, blocks)
+        assert radii.keys() == blocks.keys()
+        for (k, kp), block_ts in blocks.items():
+            expected = [wc.manhattan_radius(wc.assemble_block(t, n, k, kp)) for t in block_ts]
+            assert radii[(k, kp)] == expected, (n, k, kp)
+        assert radii[(0, 0)][-3:] == radii[(n, n)][-3:] == [NEG] * 3
+
+
+def test_block_radii_refuse_before_building_a_block(monkeypatch):
+    def no_order(n, k):
+        raise AssertionError("a slice order was built before the refusal")
+
+    monkeypatch.setattr(hales, "slice_order", no_order)
+    with pytest.raises(ParameterError):
+        wc.block_radii(3, {(1, 1): [1], (1, 2): [1, -1]})
+    with pytest.raises(ParameterError):
+        wc.block_radii(0, {(0, 0): [1]})
+    with pytest.raises(SizeCapError):
+        wc.block_radii(wc.BLOCK_MAX_N + 1, {(1, 2): [1]})
+    monkeypatch.setattr(wc, "BLOCK_MAX_ELEMS", 35 * 35 - 1)
+    with pytest.raises(SizeCapError):
+        wc.block_radii(7, {(0, 1): [1], (3, 4): [1, 2]})
+
+
+def test_block_radii_hold_one_block():
+    # the largest appendixA block at n = 13 is 1716 x 1716; a block's
+    # arrays kept alive while the next one is built take the peak near 7
+    # bytes per entry
+    blocks = {}
+    for t, _, k, s in suites._valid_radius_tuples(13):
+        blocks.setdefault((k, k + t - 2 * s), []).append(t)
+    tracemalloc.start()
+    try:
+        wc.block_radii(13, blocks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5.5 * 1716**2
+
+
 def test_grouped_suite_route_matches_per_tuple_blocks():
-    for n in range(1, 12):
+    for n in range(1, 14):
         tuples = list(suites._valid_radius_tuples(n))
         recs = suites._job_radius_identities(n)
         assert len(recs) == 2 * len(tuples)
