@@ -100,8 +100,8 @@ def _cmd_bw(args) -> int:
             recursion = widthcalc.bw_recursion(t, n)
             line = f"t={t} n={n} closed={closed} recursion={recursion}"
             values = {closed, recursion}
-            if n <= widthcalc.FULL_MATRIX_MAX_N:
-                direct = widthcalc.matrix_bandwidth(widthcalc.assemble_full(t, n))
+            if widthcalc.binom_ext(n, n // 2) ** 2 <= widthcalc.BLOCK_MAX_ELEMS:  # the middle block fits the cap
+                direct = widthcalc.bw_direct(t, n)
                 line += f" direct={direct}"
                 values.add(direct)
             agree = len(values) == 1
@@ -119,7 +119,8 @@ def _cmd_radius(args) -> int:
     s = _single(args.s, "s")
     closed = widthcalc.radius_closed(t, n, k, s)
     recursive = widthcalc.radius_recursive(t, n, k, t - 2 * s)
-    direct = widthcalc.manhattan_radius(widthcalc.assemble_block(t, n, k, k + t - 2 * s))
+    kp = k + t - 2 * s
+    direct = widthcalc.block_radii(n, {(k, kp): [t]})[(k, kp)][0]
     agree = closed == recursive == direct
     print(f"t={t} n={n} k={k} s={s} closed={closed} recursive={recursive} direct={direct} agree={agree}")
     return EXIT_OK if agree else EXIT_MISMATCH
@@ -218,11 +219,9 @@ def _cmd_oracle(args) -> int:
     elif what == "bv":
         table = oracles.bv_table(g)
         value, cert = [int(x) for x in table], None
-    elif what == "separator":
+    else:  # "separator", the last of the --what choices
         cert = oracles.min_balanced_separator(g)
         value = len(cert[0])
-    else:
-        raise ParameterError(f"unknown oracle {what!r}")
     payload = {"instance": instance, "oracle": what, "value": value, "certificate": cert}
     _write_json(payload, args.out)
     return EXIT_OK

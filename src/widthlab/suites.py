@@ -87,7 +87,7 @@ def _rec_cmp(instance, ok, lhs, rhs, note=""):
 def _job_theorem1(t: int, n: int) -> list:
     recs = []
     closed = widthcalc.bw_closed(t, n)
-    direct = widthcalc.matrix_bandwidth(widthcalc.assemble_full(t, n))
+    direct = widthcalc.bw_direct(t, n)
     recs.append(_rec(f"theorem1 t={t} n={n} closed_vs_matrix", closed, direct))
     g = graphs.gen_hamming(t, 2, n)
     pw, _ = oracles.exact_pathwidth(g)

@@ -5,14 +5,13 @@ boundary-greedy order decomposes into an (n+1) x (n+1) grid of
 weight-slice blocks. Everything here is computed three independent
 ways so the test suite can cross-check them:
 
-* directly, from the 0/1 block entries (:func:`assemble_block`,
-  :func:`manhattan_radius`, :func:`matrix_bandwidth`). The Hamming
-  distances of a (n, k, kp) block do not depend on t, so
-  :func:`distance_block` computes them once as uint8 and each
-  distance-t block is its threshold ``1 <= d <= t``;
-  :func:`block_radii` takes all blocks of one n, builds the slice
-  orders once, and scans each block once per requested t with one
-  comparison and one argmax over its reversed rows;
+* directly, from the Hamming distances of the slice orders
+  (:func:`block_radii`, :func:`bw_direct`). A (n, k, kp) block's
+  distances do not depend on t, so :func:`block_radii` takes all blocks
+  of one n, builds the slice orders once, and scans each block once per
+  requested t with one comparison and one argmax over its reversed
+  rows; :func:`bw_direct` reads the bandwidth off the radii of the
+  blocks within t of the diagonal;
 * recursively, via the 2x2 sub-block split of each slice block with
   anchor-shift offsets (:func:`radius_recursive`, :func:`bw_recursion`);
 * in closed form (:func:`radius_closed`, :func:`bw_closed`).
@@ -33,17 +32,13 @@ from functools import lru_cache
 import numpy as np
 
 from . import hales
-from .errors import ParameterError, SizeCapError, UndefinedValueError
+from .errors import ParameterError, SizeCapError
 
 __all__ = [
     "NEG_INF",
     "binom_ext",
-    "distance_block",
-    "assemble_block",
     "block_radii",
-    "assemble_full",
-    "matrix_bandwidth",
-    "manhattan_radius",
+    "bw_direct",
     "radius_closed",
     "radius_recursive",
     "diagonal_distance",
@@ -55,7 +50,6 @@ __all__ = [
 
 NEG_INF = float("-inf")
 
-FULL_MATRIX_MAX_N = 14
 BLOCK_MAX_N = 20
 BLOCK_MAX_ELEMS = 1 << 27
 
@@ -67,51 +61,19 @@ def binom_ext(x: int, y: int) -> int:
     return math.comb(x, y)
 
 
-def _within(d: np.ndarray, t: int) -> np.ndarray:
-    """Boolean mask of the adjacency rule of the distance-t graph: 1 <= d <= t."""
-    return (d >= 1) & (d <= t)
-
-
-def distance_block(n: int, k: int, kp: int) -> np.ndarray:
-    """uint8 Hamming distances of the weight-k rows to the weight-kp columns.
-
-    Rows and columns follow the slice orders of :mod:`hales`. The block
-    does not depend on the threshold t; every distance-t block with
-    these weights is a threshold of it. Out-of-range weights give the
-    empty 0x0 block.
-    """
-    if n < 1:
-        raise ParameterError(f"distance_block needs n >= 1, got n={n}")
-    if n > BLOCK_MAX_N:
-        raise SizeCapError(f"block assembly capped at n={BLOCK_MAX_N}, got n={n}")
-    if not (0 <= k <= n) or not (0 <= kp <= n):
-        return np.zeros((0, 0), dtype=np.uint8)
-    rows = hales.slice_order(n, k)
-    cols = hales.slice_order(n, kp)
-    if len(rows) * len(cols) > BLOCK_MAX_ELEMS:
-        raise SizeCapError(f"block with {len(rows)}x{len(cols)} entries exceeds the dense cap")
-    return np.bitwise_count(rows[:, None] ^ cols[None, :])
-
-
-def assemble_block(t: int, n: int, k: int, kp: int) -> np.ndarray:
-    """uint8 0/1 block: weight-k rows versus weight-kp columns of the ordered distance matrix.
-
-    Out-of-range weights give the empty 0x0 block, matching the
-    bookkeeping convention used by the recursive split.
-    """
-    if n < 1 or t < 0:
-        raise ParameterError(f"assemble_block needs n >= 1 and t >= 0, got t={t} n={n}")
-    return _within(distance_block(n, k, kp), t).view(np.uint8)
-
-
 def block_radii(n: int, blocks) -> dict:
     """Direct anchor radii of many (k, kp) blocks of one n, at thresholds per block.
 
     ``blocks`` maps each (k, kp) to its thresholds ts; the result maps
-    it to the list of radii, with ``result[(k, kp)][i]`` equal to
-    ``manhattan_radius(assemble_block(ts[i], n, k, kp))``. Every
-    argument and size cap is checked before any block is built, and
-    the slice orders of n are built once for all blocks.
+    it to the list of radii, with ``result[(k, kp)][i]`` the radius at
+    ``ts[i]``: the largest ``rows - i + j`` over the entries (i, j) of
+    the weight-k rows versus the weight-kp columns with Hamming
+    distance ``1 <= d <= t``, or ``NEG_INF`` for a zero block or for
+    out-of-range weights (the empty block). The reference point is the
+    cell just left of the bottom-left corner, so on a diagonal block of
+    s rows the radius is the block's bandwidth plus s. Every argument
+    and size cap is checked before any block is built, and the slice
+    orders of n are built once for all blocks.
 
     Each block is scanned with its columns reversed and 1 subtracted
     from its uint8 distances, so a threshold is one comparison
@@ -154,55 +116,24 @@ def _reversed_radii(rows: np.ndarray, cols: np.ndarray, ts: list, n: int) -> lis
     return radii
 
 
-def assemble_full(t: int, n: int) -> np.ndarray:
-    """Full 2^n x 2^n uint8 ordered adjacency matrix of the binary distance-t graph."""
-    if n < 1 or t < 1:
-        raise ParameterError(f"assemble_full needs n >= 1 and t >= 1, got t={t} n={n}")
-    if n > FULL_MATRIX_MAX_N:
-        raise SizeCapError(f"full matrix capped at n={FULL_MATRIX_MAX_N}, got n={n}")
-    rows = hales.hales_order(n)
-    size = 1 << n
-    bits = np.empty((size, size), dtype=np.uint8)
-    chunk = max(1, (1 << 24) // size)
-    for start in range(0, size, chunk):
-        bits[start : start + chunk] = _within(np.bitwise_count(rows[start : start + chunk, None] ^ rows[None, :]), t)
-    return bits
+def bw_direct(t: int, n: int) -> int:
+    """Exact bandwidth of the ordered distance-t matrix, read off its slice blocks.
 
-
-def _row_extents(bits: np.ndarray):
-    """Indices of the rows with a nonzero entry, and each one's first and last nonzero column."""
-    nz = bits.astype(bool, copy=False)
-    if nz.size == 0:
-        none = np.zeros(0, dtype=np.intp)
-        return none, none, none
-    rows = np.arange(nz.shape[0])
-    first = nz.argmax(axis=1)
-    last = nz.shape[1] - 1 - nz[:, ::-1].argmax(axis=1)
-    hit = nz[rows, first]  # argmax gives column 0 for an all-zero row
-    return rows[hit], first[hit], last[hit]
-
-
-def matrix_bandwidth(bits: np.ndarray) -> int:
-    """Max |i - j| over nonzero entries of a square matrix."""
-    if bits.ndim != 2 or bits.shape[0] != bits.shape[1]:
-        raise ParameterError("matrix bandwidth needs a square matrix")
-    ii, first, last = _row_extents(bits)
-    if not ii.size:
-        raise UndefinedValueError("bandwidth of a zero or empty matrix is undefined")
-    return int(np.maximum(ii - first, last - ii).max())
-
-
-def manhattan_radius(bits: np.ndarray):
-    """Max (rows - i + j) over nonzero entries; NEG_INF for zero/empty matrices.
-
-    The reference point is the imaginary cell just left of the
-    bottom-left corner, so on a symmetric s x s block the radius equals
-    the bandwidth plus s.
+    Every nonzero entry lies in a block (k, kp) with |k - kp| <= t, and
+    by symmetry k <= kp is enough. Entry (i, j) of such a block lies
+    ``starts[kp] - starts[k] + j - i`` right of the diagonal, where
+    ``starts`` are the slice offsets of the stacked order, so the block's
+    farthest entry is ``starts[kp] - starts[k + 1]`` plus its anchor
+    radius. One :func:`block_radii` call, with its size caps, gives all
+    the radii.
     """
-    ii, _, last = _row_extents(bits)
-    if not ii.size:
-        return NEG_INF
-    return int(bits.shape[0] + (last - ii).max())
+    if t < 1 or n < 1:
+        raise ParameterError(f"bw_direct needs t >= 1 and n >= 1, got t={t} n={n}")
+    radii = block_radii(n, {(k, kp): [t] for k in range(n + 1) for kp in range(k, min(n, k + t) + 1)})
+    starts = [0]
+    for k in range(n + 1):
+        starts.append(starts[-1] + binom_ext(n, k))
+    return max(starts[kp] - starts[k + 1] + r for (k, kp), (r,) in radii.items() if r != NEG_INF)
 
 
 # ----------------------------------------------------------------------

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from widthlab import cli, decomp, graphs, hales, oracles, suites
+from widthlab import cli, decomp, graphs, hales, oracles, suites, widthcalc
 from widthlab.errors import PreconditionError, UndefinedValueError
 
 
@@ -129,14 +129,38 @@ def test_hales_above_vertex_cap_writes_nothing(tmp_path, capsys):
 
 
 def test_bw_agreement(capsys):
-    assert run(["bw", "--t", "1:3", "--n", "2:5"]) == 0
-    out = capsys.readouterr().out
-    assert "agree=True" in out and "agree=False" not in out
+    assert run(["bw", "--t", "1:3", "--n", "1:14"]) == 0
+    expected = "".join(
+        f"t={t} n={n} closed={v} recursion={v} direct={v} agree=True\n"
+        for t in range(1, 4)
+        for n in range(1, 15)
+        for v in [widthcalc.bw_closed(t, n)]
+    )
+    assert capsys.readouterr().out == expected
+
+
+def test_bw_direct_stops_where_the_middle_block_passes_the_cap(capsys):
+    # the 6435 x 6435 middle block of n = 15 fits BLOCK_MAX_ELEMS, the
+    # 12870 x 12870 one of n = 16 does not: that line has no direct value
+    assert run(["bw", "--t", "1", "--n", "15"]) == 0
+    assert capsys.readouterr().out == "t=1 n=15 closed=7060 recursion=7060 direct=7060 agree=True\n"
+    assert run(["bw", "--t", "1", "--n", "16"]) == 0
+    printed = capsys.readouterr()
+    assert printed.out == "t=1 n=16 closed=13495 recursion=13495 agree=True\n"
+    assert printed.err == ""
 
 
 def test_radius_agreement(capsys):
     assert run(["radius", "--t", "2", "--n", "5", "--k", "2", "--s", "1"]) == 0
     assert "closed=17" in capsys.readouterr().out
+    for n in range(1, 8):
+        for t in range(1, n + 3):
+            for s in range(0, t // 2 + 1):
+                for k in range(0, n - (t - 2 * s) + 1):
+                    assert run(["radius", "--t", str(t), "--n", str(n), "--k", str(k), "--s", str(s)]) == 0
+                    r = widthcalc.radius_closed(t, n, k, s)
+                    line = f"t={t} n={n} k={k} s={s} closed={r} recursive={r} direct={r} agree=True\n"
+                    assert capsys.readouterr().out == line
 
 
 def test_decomp_construct_write_validate(tmp_path, capsys):
