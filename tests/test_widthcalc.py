@@ -70,28 +70,19 @@ def test_binom_ext_matches_comb(x, y):
 
 
 def test_matrix_bandwidth_examples():
-    assert wc.bw_direct(1, 2) == 2  # the 4-cycle
+    assert wc.bw_direct(1, 1) == 1  # one edge
     assert wc.bw_direct(1, 3) == 4
-    assert wc.bw_direct(5, 4) == wc.bw_direct(10**6, 4) == 15  # complete minus diagonal
+    assert wc.bw_direct(2, 3) == 6
+    assert wc.bw_direct(3, 3) == 7  # complete minus diagonal
     for t, n in [(0, 3), (-1, 3), (1, 0)]:
         with pytest.raises(ParameterError):
             wc.bw_direct(t, n)
-    # refused before any block is built: the 12870 x 12870 middle block
-    # of n = 16 exceeds BLOCK_MAX_ELEMS
-    with pytest.raises(SizeCapError):
-        wc.bw_direct(1, 16)
-    with pytest.raises(SizeCapError):
-        wc.bw_direct(1, wc.BLOCK_MAX_N + 1)
 
 
 def test_manhattan_radius_examples():
     assert wc.block_radii(1, {(0, 1): [0, 1]}) == {(0, 1): [NEG, 1]}  # [[0]], then [[1]]
-    assert wc.block_radii(2, {(0, 1): [1]}) == {(0, 1): [2]}  # [[1, 1]]
     assert wc.block_radii(3, {(0, 1): [1]}) == {(0, 1): [3]}
-    # an empty block (kp > n), a zero block at distance 3 > t, and a
-    # zero 1 x 6 block at distance 2 > t
-    assert wc.block_radii(5, {(2, 6): [2], (2, 5): [2]}) == {(2, 6): [NEG], (2, 5): [NEG]}
-    assert wc.block_radii(4, {(0, 2): [1]}) == {(0, 2): [NEG]}
+    assert wc.block_radii(3, {(1, 2): [1, 2, 3]}) == {(1, 2): [4, 4, 5]}
 
 
 @settings(max_examples=60, deadline=None)
@@ -110,12 +101,77 @@ def test_matrix_bandwidth_matches_nonzero_reference(args):
     assert wc.bw_direct(t, n) == _matrix_bandwidth_reference(_full_bits_reference(t, n))
 
 
-def test_bw_direct_matches_graph_adjacency():
+def test_assemble_full_matches_graph_adjacency():
     # the stacked slice order is the vertex order of gen_hamming
     for (t, n) in [(1, 3), (2, 4), (3, 5), (2, 7)]:
         adjacency = graphs.gen_hamming(t, 2, n).adjacency_matrix(np.uint8)
         assert np.array_equal(_full_bits_reference(t, n), adjacency), (t, n)
+
+
+def test_bw_direct_matches_graph_adjacency():
+    for (t, n) in [(1, 3), (2, 4), (3, 5), (2, 7)]:
+        adjacency = graphs.gen_hamming(t, 2, n).adjacency_matrix(np.uint8)
         assert wc.bw_direct(t, n) == _matrix_bandwidth_reference(adjacency), (t, n)
+
+
+def test_assemble_full_equals_block_grid():
+    # block_radii on each block of the grid against the same view of
+    # the graph's adjacency; blocks with |k - kp| > t are zero
+    for (t, n) in [(1, 3), (2, 4), (3, 5)]:
+        adjacency = graphs.gen_hamming(t, 2, n).adjacency_matrix(np.uint8)
+        starts = np.cumsum([0] + [math.comb(n, k) for k in range(n + 1)])
+        radii = wc.block_radii(n, {(k, kp): [t] for k in range(n + 1) for kp in range(n + 1)})
+        for (k, kp), (r,) in radii.items():
+            view = adjacency[starts[k] : starts[k + 1], starts[kp] : starts[kp + 1]]
+            assert r == _manhattan_radius_reference(view), (t, n, k, kp)
+            if abs(k - kp) > t:
+                assert r == NEG, (t, n, k, kp)
+
+
+def test_assemble_full_small_and_caps():
+    assert wc.bw_direct(1, 2) == 2  # the 4-cycle
+    assert wc.bw_direct(5, 4) == wc.bw_direct(10**6, 4) == 15  # complete minus diagonal
+    # refused before any block is built: the 12870 x 12870 middle block
+    # of n = 16 exceeds BLOCK_MAX_ELEMS
+    with pytest.raises(SizeCapError):
+        wc.bw_direct(1, 16)
+    with pytest.raises(SizeCapError):
+        wc.bw_direct(1, wc.BLOCK_MAX_N + 1)
+
+
+def test_assemble_block_examples():
+    assert wc.block_radii(2, {(0, 1): [1]}) == {(0, 1): [2]}  # [[1, 1]]
+    # an empty block (kp > n), a zero block at distance 3 > t, and a
+    # zero 1 x 6 block at distance 2 > t
+    assert wc.block_radii(5, {(2, 6): [2], (2, 5): [2]}) == {(2, 6): [NEG], (2, 5): [NEG]}
+    assert wc.block_radii(4, {(0, 2): [1]}) == {(0, 2): [NEG]}
+
+
+def test_assemble_block_matches_reference_bits():
+    # one call per threshold over every (k, kp), out-of-range weights too
+    for n in range(1, 10):
+        pairs = [(k, kp) for k in range(-1, n + 2) for kp in range(-1, n + 2)]
+        for t in range(0, n + 2):
+            radii = wc.block_radii(n, {kk: [t] for kk in pairs})
+            for (k, kp) in pairs:
+                expected = _manhattan_radius_reference(_block_bits_reference(t, n, k, kp))
+                assert radii[(k, kp)] == [expected], (t, n, k, kp)
+
+
+def test_distance_block_caps_and_empty_convention():
+    # the distances of the (1, 2) block of n = 3 are [[1, 1, 3], [1, 3, 1], [3, 1, 1]]
+    assert wc.block_radii(3, {(1, 2): [0, 1, 2, 3]}) == {(1, 2): [NEG, 4, 4, 5]}
+    # out-of-range weights are the empty block at every threshold
+    assert wc.block_radii(3, {(1, 4): [0, 1, 3], (-1, 0): [1], (4, 4): [2]}) == {
+        (1, 4): [NEG] * 3, (-1, 0): [NEG], (4, 4): [NEG]}
+    with pytest.raises(SizeCapError):
+        wc.block_radii(wc.BLOCK_MAX_N + 1, {(1, 2): [1]})
+    with pytest.raises(ParameterError):
+        wc.block_radii(0, {(0, 0): [0]})
+    # large blocks, and words of more than 16 bits
+    for (t, n, k, kp) in [(4, 12, 6, 6), (5, 13, 6, 7), (3, 17, 1, 2), (3, 17, 8, 1)]:
+        expected = _manhattan_radius_reference(_block_bits_reference(t, n, k, kp))
+        assert wc.block_radii(n, {(k, kp): [t]}) == {(k, kp): [expected]}, (t, n, k, kp)
 
 
 def test_block_radii_match_assembled_blocks():
@@ -131,10 +187,6 @@ def test_block_radii_match_assembled_blocks():
             expected = [_manhattan_radius_reference(_block_bits_reference(t, n, k, kp)) for t in block_ts]
             assert radii[(k, kp)] == expected, (n, k, kp)
         assert radii[(0, 0)][-3:] == radii[(n, n)][-3:] == [NEG] * 3
-    # large blocks, and words of more than 16 bits
-    for (t, n, k, kp) in [(4, 12, 6, 6), (5, 13, 6, 7), (3, 17, 1, 2), (3, 17, 8, 1)]:
-        expected = _manhattan_radius_reference(_block_bits_reference(t, n, k, kp))
-        assert wc.block_radii(n, {(k, kp): [t]}) == {(k, kp): [expected]}, (t, n, k, kp)
 
 
 def test_block_radii_refuse_before_building_a_block(monkeypatch):
