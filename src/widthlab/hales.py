@@ -1,14 +1,19 @@
 """Recursive slice orders on binary words and the boundary-greedy global order.
 
 The weight-k slice order on length-n binary words is defined by the
-block recursion: the all-ones and all-zeros slices are single rows, and
-otherwise the weight-k order at length n lists the weight-(k-1) order
-at length n-1 with a trailing 1 appended, followed by the weight-k
-order at length n-1 with a trailing 0. Stacking the slices for
+block recursion from the one word of length 0: the weight-k order at
+length n lists the weight-(k-1) order at length n-1 with a trailing 1
+appended, followed by the weight-k order at length n-1 with a trailing
+0 (a weight outside 0..n-1 is the empty slice). Stacking the slices for
 k = 0..n yields a global order on all 2^n words whose every prefix
 minimizes the outer vertex boundary in the distance graphs; that
 minimality is never assumed here, only verified exhaustively on small
 instances by :func:`verify_hales_property`.
+
+In closed form, a slice lists its words in strictly decreasing numeric
+order (the words with bit n-1 set come first, and by induction each half
+decreases), and the global order is the stable sort of all words, in
+decreasing numeric order, by ascending weight.
 
 An order is a plain uint32 numpy array of words, one per row. A word
 is a bitmask with coordinate j (1-based) in bit j-1, so a trailing
@@ -40,34 +45,22 @@ def word_bits(rows: np.ndarray, n: int) -> np.ndarray:
 def slice_order(n: int, k: int) -> np.ndarray:
     """Rows of the weight-k slice at length n, in recursion order.
 
-    Built iteratively over word lengths 1..n, keeping only the weight
-    band that still feeds the target slice, so memory stays linear in
-    the output size.
+    Built iteratively over word lengths 1..n from the one word of length
+    0, keeping only the weight band that still feeds the target slice,
+    so memory stays linear in the output size.
     """
     if n < 1 or k < 0 or k > n:
         raise ParameterError(f"slice_order needs 0 <= k <= n and n >= 1, got n={n} k={k}")
     if n > 32:
         raise SizeCapError(f"words are uint32 bitmasks, so slice_order is capped at n=32, got n={n}")
-
-    def base(length: int, weight: int) -> np.ndarray:
-        if weight == 0:
-            return np.zeros(1, dtype=np.uint32)
-        return np.asarray([(1 << length) - 1], dtype=np.uint32)
-
-    lo_j = max(0, k - (n - 1))
-    hi_j = min(1, k)
-    cur = {j: base(1, j) for j in range(lo_j, hi_j + 1)}
-    for length in range(2, n + 1):
-        lo_j = max(0, k - (n - length))
-        hi_j = min(length, k)
-        nxt = {}
+    empty = np.zeros(0, dtype=np.uint32)
+    cur = {0: np.zeros(1, dtype=np.uint32)}
+    for length in range(1, n + 1):
         bit = np.uint32(1 << (length - 1))
-        for j in range(lo_j, hi_j + 1):
-            if j == 0 or j == length:
-                nxt[j] = base(length, j)
-                continue
-            nxt[j] = np.concatenate([cur[j - 1] | bit, cur[j]])
-        cur = nxt
+        cur = {
+            j: np.concatenate([cur.get(j - 1, empty) | bit, cur.get(j, empty)])
+            for j in range(max(0, k - (n - length)), min(length, k) + 1)
+        }
     return cur[k]
 
 

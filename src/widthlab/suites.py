@@ -148,7 +148,7 @@ def _job_gap_maximizer(n_max: int) -> list:
                 k: widthcalc.diagonal_distance(t, n, k, t)
                 for k in range(0, n - t + 1)
             }
-            best = max(v for v in values.values() if v != widthcalc.NEG_INF)
+            best = max(values.values())
             at_floor = values[(n - t) // 2]
             recs.append(_rec(f"gap-maximizer t={t} n={n}", at_floor, best, note="max diagonal distance attained at k=floor((n-t)/2)"))
     return recs

@@ -17,7 +17,9 @@ ways so the test suite can cross-check them:
 * in closed form (:func:`radius_closed`, :func:`bw_closed`).
 
 All arithmetic is exact (python integers); ``NEG_INF`` is the lattice
-bottom for radii of zero or empty blocks so maxima stay total. The
+bottom for radii of zero or empty blocks so maxima stay total. It also
+absorbs offsets (``NEG_INF + c`` is ``NEG_INF``) and loses every
+``max``, so the recursion and the maxima over blocks need no guards. The
 closed radius form returns ``NEG_INF`` for the degenerate 1x1 diagonal
 blocks (gap 0 with a single-row slice), where the literal four-branch
 expression would give 1 for an all-zero matrix; the recursive and
@@ -133,7 +135,7 @@ def bw_direct(t: int, n: int) -> int:
     starts = [0]
     for k in range(n + 1):
         starts.append(starts[-1] + binom_ext(n, k))
-    return max(starts[kp] - starts[k + 1] + r for (k, kp), (r,) in radii.items() if r != NEG_INF)
+    return max(starts[kp] - starts[k + 1] + r for (k, kp), (r,) in radii.items())
 
 
 # ----------------------------------------------------------------------
@@ -163,15 +165,14 @@ def radius_closed(t: int, n: int, k: int, s: int):
     if t >= n - 1:
         return binom_ext(n, k) + binom_ext(n, kp) - 1
     vals = []
+    c = binom_ext(n, kp) - binom_ext(n - s, kp)
     if 0 <= k - s <= (n - t) // 2:
         a2 = sum(
             binom_ext(m - 1, kp - 1) - binom_ext(m - 1, k - s - 1)
             for m in range(t - 3 * s + 1 + 2 * k, n - s + 1)
         )
-        c = binom_ext(n, kp) - binom_ext(n - s, kp)
         vals.append(binom_ext(n, k) + _sum_ballgrowth(t, s, k - s) + a2 + c)
     if (n - t) // 2 <= k - s <= n - t:
-        c = binom_ext(n, kp) - binom_ext(n - s, kp)
         vals.append(binom_ext(n, k) + _sum_ballgrowth(t, s, n - t - k + s) + c)
     if k - s <= 0 or k - s >= n - t:
         d = sum(binom_ext(m - 1, kp - 1) for m in range(kp + 1, n + 1))
@@ -198,20 +199,12 @@ def _radius_rec(t: int, n: int, k: int, p: int):
         return NEG_INF  # 1x1 diagonal block has a zero entry
     if n == 1:
         return 1
-    terms = []
-    r1 = _radius_rec(t, n - 1, k - 1, p)
-    if r1 != NEG_INF:
-        terms.append(r1 + binom_ext(n - 1, k))
-    r2 = _radius_rec(t - 1, n - 1, k - 1, p + 1)
-    if r2 != NEG_INF:
-        terms.append(r2 + binom_ext(n - 1, k) + binom_ext(n - 1, kp - 1))
-    r3 = _radius_rec(t - 1, n - 1, k, p - 1)
-    if r3 != NEG_INF:
-        terms.append(r3)
-    r4 = _radius_rec(t, n - 1, k, p)
-    if r4 != NEG_INF:
-        terms.append(r4 + binom_ext(n - 1, kp - 1))
-    return max(terms) if terms else NEG_INF
+    return max(
+        _radius_rec(t, n - 1, k - 1, p) + binom_ext(n - 1, k),
+        _radius_rec(t - 1, n - 1, k - 1, p + 1) + binom_ext(n - 1, k) + binom_ext(n - 1, kp - 1),
+        _radius_rec(t - 1, n - 1, k, p - 1),
+        _radius_rec(t, n - 1, k, p) + binom_ext(n - 1, kp - 1),
+    )
 
 
 def radius_recursive(t: int, n: int, k: int, p: int):
@@ -232,8 +225,6 @@ def diagonal_distance(t: int, n: int, k: int, p: int):
     intervening slice sizes to the block radius.
     """
     r = _radius_rec(t, n, k, p)
-    if r == NEG_INF:
-        return NEG_INF
     if p == 0:
         return r - binom_ext(n, k)
     return sum(binom_ext(n, k + q) for q in range(1, p)) + r
@@ -247,24 +238,14 @@ def bw_closed(t: int, n: int) -> int:
         return (1 << n) - 1
     lo = (n - t) // 2
     first = sum(binom_ext(n, k) for k in range(lo, lo + t))
-    second = sum(
-        binom_ext(t + 2 * a, t + a - 1) - binom_ext(t + 2 * a, a - 1)
-        for a in range((n - t - 1) // 2 + 1)
-    )
-    return first + second
+    return first + _sum_ballgrowth(t, 0, (n - t - 1) // 2 + 1)
 
 
 def bw_recursion(t: int, n: int) -> int:
     """Exact bandwidth as the max diagonal distance over all slice blocks."""
     if t < 1 or n < 1:
         raise ParameterError(f"bw_recursion needs t >= 1 and n >= 1, got t={t} n={n}")
-    best = NEG_INF
-    for k in range(n):
-        for p in range(0, min(t, n - k) + 1):
-            v = diagonal_distance(t, n, k, p)
-            if v != NEG_INF and v > best:
-                best = v
-    return int(best)
+    return int(max(diagonal_distance(t, n, k, p) for k in range(n) for p in range(min(t, n - k) + 1)))
 
 
 def johnson_slice_bandwidth(n: int, k: int) -> int:

@@ -622,6 +622,24 @@ def test_spectral_lower_bound_preconditions():
         bounds.spectral_lower_bound(g, wrong)
 
 
+def test_spectral_lower_bound_refuses_a_count_or_top_mismatch():
+    petersen = graphs.gen_petersen(5, 2)
+    with pytest.raises(PreconditionError, match="do not sum to the vertex count"):
+        bounds.spectral_lower_bound(petersen, bounds.Spectrum(((3, 1), (1, 5), (-2, 3))))
+    # the negated spectrum matches every moment up to p = 4 (the odd ones are 0 on a
+    # triangle-free graph), so only the top eigenvalue refuses it
+    negated = bounds.Spectrum(((2, 4), (-1, 5), (-3, 1)))
+    assert bounds.verify_spectrum_moments(petersen, negated, 4).ok
+    with pytest.raises(PreconditionError, match="largest eigenvalue 2 differs from the degree 3"):
+        bounds.spectral_lower_bound(petersen, negated)
+
+
+def test_spectral_bound_value_without_a_gap():
+    assert bounds.spectral_bound_value(10, 3, 3) == -1  # mu = 0
+    assert bounds.spectral_bound_value(10, 3, 4) == -1  # mu < 0
+    assert bounds.spectral_bound_value(10, 3, 1) == 1  # the Petersen graph, mu = 2
+
+
 @pytest.mark.parametrize("n,pairs", [(1, ((0, 1),)), (0, ())])
 def test_spectral_lower_bound_needs_two_vertices(n, pairs):
     # no second eigenvalue, so no spectral gap

@@ -1,5 +1,7 @@
 """Command line front end: subcommands, exit codes, report determinism."""
 
+import csv
+import io
 import json
 
 import numpy as np
@@ -338,6 +340,33 @@ def test_oracle_separator_runs_no_treewidth_dp(monkeypatch, capsys):
     }
 
 
+def test_oracle_file_route_values(tmp_path, capsys):
+    gr = tmp_path / "g.gr"
+    assert run(["gen", "--family", "hamming", "--t", "1", "--n", "3", "--out", str(gr)]) == 0
+    g = graphs.read_graph(str(gr))
+    pw, pw_order = oracles.exact_pathwidth(g)
+    bw, bw_order = oracles.exact_bandwidth(g)
+    bv = [int(x) for x in oracles.bv_table(g)]
+    assert (pw, bw, bv) == (4, 4, [0, 3, 4, 4, 3, 3, 2, 1, 0])  # the 3-cube
+    capsys.readouterr()
+    for what, value, cert in [("pw", pw, pw_order), ("bw", bw, bw_order), ("bv", bv, None)]:
+        assert run(["oracle", "--gr", str(gr), "--what", what]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload == {"instance": str(gr), "oracle": what, "value": value, "certificate": cert}
+
+
+def test_decomp_declared_vertex_count_mismatch(tmp_path, capsys):
+    td = tmp_path / "d.td"
+    gr = tmp_path / "g.gr"
+    assert run(["decomp", "--n", "5", "--k", "2", "--out", str(td)]) == 0  # 10 vertices
+    assert run(["gen", "--family", "petersen", "--n", "7", "--k", "2", "--out", str(gr)]) == 0  # 14 vertices
+    capsys.readouterr()
+    assert run(["decomp", "--gr", str(gr), "--td", str(td)]) == 1
+    out = capsys.readouterr()
+    assert out.out == "declared vertex count 10 differs from graph (14)\n"
+    assert out.err == ""
+
+
 def test_suite_theorem1_passes(tmp_path, capsys):
     out = tmp_path / "r.json"
     # narrower than the defaults, which the shared suite runner already covers
@@ -430,22 +459,47 @@ def test_suite_malformed_parameter_rejected(params, capsys):
     assert capsys.readouterr().err.startswith("error: suite parameter 'k_lo'")
 
 
+def _report_body(path, fmt):
+    """The report without its header: the records of a JSON report, the CSV text after its first line."""
+    if fmt == "json":
+        return json.loads(path.read_text())["records"]
+    header, body = path.read_text().split("\n", 1)
+    assert header.startswith("# suite=")  # the only line that holds the time stamp
+    return body
+
+
 def test_suite_report_deterministic(tmp_path):
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
-    for target in (a, b):
-        assert run(["suite", "--name", "limits", "--format", "json", "--out", str(target)]) == 0
-    pa, pb = json.loads(a.read_text()), json.loads(b.read_text())
-    assert pa["records"] == pb["records"]  # only the header may differ
+    for fmt in ("json", "csv"):
+        a, b = tmp_path / f"a.{fmt}", tmp_path / f"b.{fmt}"
+        for target in (a, b):
+            assert run(["suite", "--name", "limits", "--format", fmt, "--out", str(target)]) == 0
+        assert _report_body(a, fmt) == _report_body(b, fmt)  # only the header may differ
 
 
 def test_suite_workers_match_serial(tmp_path):
-    serial, parallel = tmp_path / "s.json", tmp_path / "p.json"
-    assert run(["suite", "--name", "spectrum", "--param", "k_max=2", "--format", "json", "--out", str(serial)]) == 0
-    assert run([
-        "suite", "--name", "spectrum", "--param", "k_max=2", "--format", "json",
-        "--out", str(parallel), "--workers", "2",
-    ]) == 0
-    assert json.loads(serial.read_text())["records"] == json.loads(parallel.read_text())["records"]
+    for fmt in ("json", "csv"):
+        serial, parallel = tmp_path / f"s.{fmt}", tmp_path / f"p.{fmt}"
+        argv = ["suite", "--name", "spectrum", "--param", "k_max=2", "--format", fmt]
+        assert run([*argv, "--out", str(serial)]) == 0
+        assert run([*argv, "--out", str(parallel), "--workers", "2"]) == 0
+        assert _report_body(serial, fmt) == _report_body(parallel, fmt)
+
+
+def test_csv_report_quotes_every_field():
+    records = [
+        suites.Record("a", "1", "1", True),
+        suites.Record('say "x", then y', 'lhs "1,2"', "3", False, True, 'note, with "quotes"'),
+    ]
+    out = io.StringIO()
+    suites.write_report(suites.SuiteConfig("limits", fmt="csv"), records, out)
+    header, body = out.getvalue().split("\n", 1)
+    assert header.startswith('# suite=limits generated_at=') and header.endswith(' params={"k_hi": 16, "k_lo": 8}')
+    assert body == (
+        "instance,lhs,rhs,equal,flagged_known,note\n"
+        '"a","1","1","True","False",""\n'
+        '"say ""x"", then y","lhs ""1,2""","3","False","True","note, with ""quotes"""\n'
+    )
+    assert list(csv.reader(io.StringIO(body)))[2] == ['say "x", then y', 'lhs "1,2"', "3", "False", "True", 'note, with "quotes"']
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])
@@ -485,6 +539,26 @@ def test_table_radius_closed_rows(capsys):
         "t,n,k,s,value\n1,4,0,0,4\n1,4,1,0,7\n1,4,2,0,7\n1,4,3,0,4\n2,4,0,0,6\n2,4,1,0,6\n"
         "2,4,2,0,6\n2,4,0,1,-inf\n2,4,1,1,7\n2,4,2,1,10\n2,4,3,1,7\n2,4,4,1,-inf\n"
     )
+
+
+def test_table_k_formulas_rows(capsys):
+    assert run(["table", "--formula", "bk_spectral_lb", "--k", "1:4"]) == 0
+    assert capsys.readouterr().out == "k,value\n1,0\n2,2\n3,7\n4,26\n"
+    assert run(["table", "--formula", "johnson_slice_bandwidth", "--k", "1:4"]) == 0
+    assert capsys.readouterr().out == "k,n,value,ratio\n1,3,2,2/3\n2,5,7,7/10\n3,7,23,23/35\n4,9,78,78/126\n"
+
+
+def test_table_json(capsys):
+    assert run(["table", "--formula", "johnson_slice_bandwidth", "--k", "1:2", "--format", "json"]) == 0
+    assert capsys.readouterr().out == json.dumps(
+        [{"k": 1, "n": 3, "value": 2, "ratio": "2/3"}, {"k": 2, "n": 5, "value": 7, "ratio": "7/10"}], indent=1,
+    ) + "\n"
+    assert run(["table", "--formula", "radius_closed", "--t", "2", "--n", "4", "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert '"value": -Infinity' in out  # a zero block's -inf, as json.dump writes it
+    assert [(row["k"], row["s"], row["value"]) for row in json.loads(out)] == [
+        (0, 0, 6), (1, 0, 6), (2, 0, 6), (0, 1, float("-inf")), (1, 1, 7), (2, 1, 10), (3, 1, 7), (4, 1, float("-inf")),
+    ]
 
 
 def test_table_unknown_formula():

@@ -53,6 +53,19 @@ def test_slice_rows_distinct_and_weighted(nk):
     assert (np.bitwise_count(rows) == k).all()
 
 
+def test_slice_order_closed_description():
+    # a slice lists its words in strictly decreasing numeric order, and the
+    # global order is the stable sort of all words, decreasing, by weight
+    for n in range(1, 17):
+        words = np.arange((1 << n) - 1, -1, -1, dtype=np.uint32)
+        weights = np.bitwise_count(words)
+        for k in range(n + 1):
+            rows = hales.slice_order(n, k)
+            assert (np.diff(rows.astype(np.int64)) < 0).all()
+            assert np.array_equal(rows, words[weights == k])
+        assert np.array_equal(hales.hales_order(n), words[np.argsort(weights, kind="stable")])
+
+
 def test_slice_rejects_bad_parameters():
     with pytest.raises(ParameterError):
         hales.slice_order(3, 4)
@@ -118,6 +131,13 @@ def test_binary_value_order_violates():
     assert not report.ok
     assert report.first_violation == 4
     assert report.reason == "prefix boundary 4 exceeds minimum 3"
+
+
+def test_prefix_checker_reports_interior_vertices_out_of_rank():
+    # the 4-cycle in cyclic order: prefix {0, 1, 2} has the minimum boundary {3},
+    # but its one interior vertex is 1, not the lowest-ranked 0
+    report = hales.verify_hales_property(graphs.Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]))
+    assert report == hales.HalesReport(False, 3, "interior vertices are not the lowest-ranked ones", (0, 2, 2, 1, 0))
 
 
 def test_prefix_checker_uses_exhaustive_minimum():
