@@ -29,7 +29,7 @@ import numpy as np
 
 from . import hales
 from .errors import ParameterError, ParseError, PreconditionError, StructuralError
-from .graphs import FamilySpec, Graph, _scan_tokens, gen_bipartite_kneser, gen_hamming, gen_johnson
+from .graphs import FamilySpec, Graph, _one_based_lines, _scan_tokens, gen_bipartite_kneser, gen_hamming, gen_johnson
 
 __all__ = [
     "Decomposition",
@@ -411,19 +411,19 @@ def bk_prime(n: int, k: int, cert: ChordalCertificate) -> ChordalCertificate:
 
 
 def write_td(d: Decomposition, num_vertices: int, path) -> None:
-    """Write the PACE .td form (1-based bag ids and vertex ids) as UTF-8."""
+    """Write the PACE .td form (1-based bag ids and vertex ids) as UTF-8.
+
+    The bag lines ``b <i> <ids>`` and the shape edges come from
+    :func:`widthlab.graphs._one_based_lines` in blocks of whole lines,
+    with each bag's index as its line's first id.
+    """
     nb = d.num_bags
-    offsets = d.offsets.tolist()
-    ids, where = np.unique(d.flat, return_inverse=True)  # each distinct id is formatted once
-    names = np.array([str(v + 1) for v in ids.tolist()], dtype=object)[where].tolist()
-    lines = [f"s td {nb} {d.width + 1} {num_vertices}\n"]
-    lines += [
-        f"b {i} {' '.join(names[a:b])}\n" if a < b else f"b {i}\n"
-        for i, a, b in zip(range(1, nb + 1), offsets, offsets[1:])
-    ]
-    lines += [f"{u + 1} {v + 1}\n" for u, v in d.shape_edges().tolist()]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(lines)
+        fh.write(f"s td {nb} {d.width + 1} {num_vertices}\n")
+        ids = np.insert(d.flat, d.offsets[:-1], np.arange(nb))  # each bag's index, then its ids
+        fh.writelines(_one_based_lines(ids, d.offsets + np.arange(nb + 1), "b "))
+        edges = d.shape_edges()
+        fh.writelines(_one_based_lines(edges.ravel(), np.arange(0, edges.size + 1, 2)))
 
 
 def read_td(path):

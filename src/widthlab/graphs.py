@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import ast
 import itertools
+import json
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -330,11 +331,59 @@ def gen_petersen(n: int, k: int) -> Graph:
 # ----------------------------------------------------------------------
 
 
+# the id lines are formatted in blocks of about this many ids
+_LINE_BLOCK_IDS = 1 << 14
+
+
+def _one_based_lines(ids: np.ndarray, offsets: np.ndarray, head: str = ""):
+    """The text of the id lines ``ids[offsets[i] : offsets[i + 1]]``, in blocks of whole lines.
+
+    Each line is ``head``, then each 0-based int64 id plus one in decimal,
+    as ``str(int(v) + 1)`` writes it, separated by single spaces and ended
+    by a newline; every line must hold an id. The digits come from numpy
+    arithmetic on the sign and the uint64 magnitude of v + 1, so every
+    int64 id formats, 2^63 − 1 as ``9223372036854775808``. A block starts
+    at the first line that starts at or after a multiple of
+    :data:`_LINE_BLOCK_IDS` ids, so it holds at most that many ids plus
+    one line, and takes a few dozen bytes per id.
+    """
+    ten = np.uint64(10)
+    bounds = np.unique(np.append(np.searchsorted(offsets, np.arange(0, offsets[-1], _LINE_BLOCK_IDS)), len(offsets) - 1))
+    for lo, hi in zip(bounds.tolist(), bounds[1:].tolist()):
+        v = ids[offsets[lo] : offsets[hi]]
+        first = offsets[lo:hi] - offsets[lo]  # the first id of each line
+        negative = v < -1
+        magnitude = v.view(np.uint64) + np.uint64(1)  # v + 1 in two's complement
+        np.negative(magnitude, out=magnitude, where=negative)  # |v + 1|
+        width = negative + 2  # the sign, one digit and the separator
+        for power in 10 ** np.arange(1, len(str(magnitude.max())), dtype=np.uint64):
+            width += magnitude >= power
+        width[first] += len(head)  # a line's head goes before its first id
+        end = np.cumsum(width)  # just past each id's separator
+        width[first] -= len(head)
+        out = np.full(end[-1], ord(" "), dtype=np.uint8)
+        out[end[np.append(first[1:], len(v)) - 1] - 1] = ord("\n")
+        out[end[negative] - width[negative]] = ord("-")
+        for j, char in enumerate(head.encode("ascii")):
+            out[end[first] - width[first] - len(head) + j] = char
+        at = end - 2  # the last digit of each id
+        while len(at):
+            rest = magnitude // ten
+            out[at] = (magnitude - rest * ten).astype(np.uint8) | ord("0")
+            more = rest > 0
+            at, magnitude = at[more] - 1, rest[more]
+        yield out.tobytes().decode("ascii")
+
+
 def dump_graph(g: Graph, stream) -> None:
-    """Write the PACE .gr form to an open stream (see :func:`write_graph`)."""
+    """Write the PACE .gr form to an open stream (see :func:`write_graph`).
+
+    The ``c label`` lines are one f-string per vertex; the edge lines
+    come from :func:`_one_based_lines` in blocks.
+    """
     stream.writelines([f"c label {v} {label!r}\n" for v, label in enumerate(g.labels, 1)])
     stream.write(f"p tw {g.n} {g.num_edges}\n")
-    stream.writelines([f"{u} {v}\n" for u, v in (g.edges + 1).tolist()])
+    stream.writelines(_one_based_lines(g.edges.ravel(), np.arange(0, 2 * g.num_edges + 1, 2)))
 
 
 def write_graph(g: Graph, path) -> None:
@@ -372,6 +421,31 @@ def _label(text: str):
     except ValueError:
         pass
     return ast.literal_eval(text)
+
+
+# a label text as JSON: tuples as arrays, single-quoted strs as double-quoted ones
+_AS_JSON = str.maketrans("()'", '[]"')
+
+
+def _labels(texts: list) -> list:
+    """The values of the label texts ``texts``, each as :func:`_label` reads it.
+
+    All texts are parsed by one :func:`json.loads` of their JSON forms
+    (a 1-tuple's ``,)`` as ``)``) joined into one array, with each
+    top-level array read back as a tuple. The values are kept only if
+    ``list(map(repr, values)) == texts``: that is :func:`_label`'s own
+    test, and comparing whole lists also proves that there is one value
+    per text. Otherwise every text goes through :func:`_label`, whose
+    errors propagate.
+    """
+    try:
+        values = json.loads("[" + ",".join(texts).replace(",)", ")").translate(_AS_JSON) + "]")
+        values = [tuple(x) if isinstance(x, list) else x for x in values]
+        if list(map(repr, values)) == texts:
+            return values
+    except (ValueError, RecursionError):
+        pass
+    return list(map(_label, texts))
 
 
 # the longest number token the scan reads; every 18-digit number fits int64
@@ -501,12 +575,13 @@ def _scan_graph(data: bytes):
         if vertex.min() < 1 or vertex.max() > nverts or _repeats(vertex):
             return None
         text = data.decode("ascii")
+        try:
+            values = _labels([text[a:z] for a, z in zip(tok.start[first + 3].tolist(), tok.end[last].tolist())])
+        except (ValueError, SyntaxError, TypeError):
+            return None
         labels = list(range(nverts))
-        for v, a, z in zip(vertex.tolist(), tok.start[first + 3].tolist(), tok.end[last].tolist()):
-            try:
-                labels[v - 1] = _label(text[a:z])
-            except (ValueError, SyntaxError, TypeError):
-                return None
+        for v, value in zip(vertex.tolist(), values):
+            labels[v - 1] = value
     # Graph refuses bad ends, self-loops and unhashable or colliding labels, and merges repeated edges
     try:
         g = Graph(nverts, ends - 1, labels=labels)
@@ -539,9 +614,9 @@ def read_graph(path) -> Graph:
     Two routes read the file and return the same graph. A file of
     printable ASCII, tabs, LFs and CRs whose numbers are plain runs of
     at most 18 digits is read by one byte scan (:func:`_scan_tokens`),
-    which checks the edge lines as arrays and sends only the label
-    comments through Python; it holds the file's bytes and a few bytes
-    of arrays per byte and per token. Any other file, and every file
+    which checks the edge lines as arrays and reads all label texts in
+    one checked parse (:func:`_labels`); it holds the file's bytes and
+    a few bytes of arrays per byte and per token. Any other file, and every file
     with a fault, is read by the line loop, which holds one line at a
     time plus a Python tuple per edge, and raises each error reported
     here.

@@ -398,6 +398,18 @@ def test_suite_unknown_parameter_rejected(tmp_path):
     assert run(["suite", "--name", "limits", "--param", "bogus=3"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["decomp", "--n", "5:7", "--k", "1"], "error: --n must be a single value here\n"),
+        (["suite", "--name", "petersen", "--param", "n_max"], "error: suite parameters look like name=value, got 'n_max'\n"),
+    ],
+)
+def test_refusal_of_a_malformed_value(capsys, argv, message):
+    assert run(argv) == 2
+    assert capsys.readouterr() == ("", message)
+
+
 @pytest.mark.parametrize("name,param", [("hales", "t_max"), ("hales", "n_max"), ("hales", "harper_n"), ("kneser", "cross_n_max")])
 def test_suite_fixed_grid_parameter_rejected(capsys, name, param):
     # these grids are fixed: a larger value meets a size cap, a smaller one checks less

@@ -13,6 +13,8 @@ its line unless an earlier line is refused first.
 import ast
 import io
 import re
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -264,6 +266,41 @@ def test_write_td_bytes_match_reference_on_any_ids(tmp_path_factory, bags, tree,
     _assert_td_bytes_match(tmp_path_factory.getbasetemp(), Decomposition.from_bags(bags, tree_edges=edges), num_vertices)
 
 
+# ids v whose v + 1 sits on each side of every power of ten, of either sign, and the int64 extremes
+DIGIT_EDGE_IDS = [sign * 10**p + d for p in range(19) for sign in (1, -1) for d in (-2, -1, 0)] + [-(2**63), 2**63 - 1]
+
+
+@pytest.mark.parametrize("tree", [False, True])
+def test_write_td_bytes_match_reference_at_digit_widths(tmp_path, tree):
+    bags = [DIGIT_EDGE_IDS[i : i + 5] for i in range(0, len(DIGIT_EDGE_IDS), 5)] + [[]]
+    edges = [(i, i + 1) for i in range(len(bags) - 1)] if tree else None
+    _assert_td_bytes_match(tmp_path, Decomposition.from_bags(bags, tree_edges=edges), 2**63 - 1)
+
+
+def test_dump_graph_matches_reference_at_digit_widths():
+    # a Graph holds ids 0..n-1 only, so any int64 edge ends go through a stand-in with its fields
+    ends = np.array(DIGIT_EDGE_IDS, dtype=np.int64).reshape(-1, 2)
+    chain = Graph(10**5, [(10**p - 2 + d, 10**p - 1 + d) for p in range(1, 6) for d in (-1, 0)])
+    for g in [SimpleNamespace(n=3, labels=(0, "a", ("v", 1)), num_edges=len(ends), edges=ends), chain]:
+        ref, new = io.StringIO(), io.StringIO()
+        _dump_graph_ref(g, ref)
+        graphs.dump_graph(g, new)
+        assert new.getvalue() == ref.getvalue()
+
+
+def test_write_td_peak_stays_below_the_replaced_writer(tmp_path):
+    # the writer it replaced peaked at 7.24 MiB on this file; blocks of
+    # lines keep the id arrays to a bounded share of the written ids
+    d = decomp.petersen_pd(3149, 5)
+    tracemalloc.start()
+    try:
+        decomp.write_td(d, 2 * 3149, tmp_path / "d.td")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7.2 * 2**20
+
+
 # ----------------------------------------------------------------------
 # readers: what the writers write takes the byte scan
 # ----------------------------------------------------------------------
@@ -302,8 +339,13 @@ def test_written_td_takes_the_scan(tmp_path, scan_only, name):
 def test_large_round_trip_takes_the_scan(tmp_path, scan_only):
     g = graphs.gen_petersen(3149, 5)
     graphs.write_graph(g, tmp_path / "g.gr")
+    with open(tmp_path / "ref.gr", "w") as fh:
+        _dump_graph_ref(g, fh)
+    assert (tmp_path / "g.gr").read_bytes() == (tmp_path / "ref.gr").read_bytes()
     assert _graph_value(graphs.read_graph(tmp_path / "g.gr")) == _graph_value(g)
-    _assert_td_round_trip(decomp.petersen_pd(3149, 5), g.num_vertices, tmp_path / "d.td")
+    d = decomp.petersen_pd(3149, 5)
+    _assert_td_bytes_match(tmp_path, d, g.num_vertices)
+    _assert_td_round_trip(d, g.num_vertices, tmp_path / "d.td")
 
 
 # ----------------------------------------------------------------------
@@ -317,6 +359,7 @@ GR_TOKENS = TOKENS + [str(graphs.MAX_VERTICES + 1), "9" * 12]
 LABELS = [
     "True", "-0", "(1,)", "('a, b', 1)", "'a\\'b'", "[1]", "1;2", "(1, 2", "('v', 1)", "('v', 2)", "(1, 1)",
     "1", "'a'", '"a"', "()", "(1,,)", "(1, 2,)", "( 1, 2)", "((1, 2), 3)", "1.5", "(1, 'x')", "'", "9" * 5000,
+    "null", "true", "1.0", "{'a': 1}", "('a,)', 1)", "[1", "2]",
 ]
 EXTRA_LINES = ["", "   ", "\t", "c a comment", "c", "c label", "p", "s", "b", "p tw 3 1", "s td 1 1 3", "b 1 1", "1 2", "1\r2 3"]
 
@@ -477,10 +520,52 @@ def _assert_same_graph_or_cap(path):
 @example("c made by \u00e9\np tw 2 1\n1 2\n")  # a non-ASCII byte inside a comment
 @example("c only\nc label 1 'a'\n")  # comments only
 @example("")
+# texts that one JSON parse of all labels could misread, each beside a label it reads
+@example("c label 1 null\nc label 2 ('v', 1)\np tw 2 0\n")
+@example("c label 1 true\nc label 2 ('v', 1)\np tw 2 0\n")
+@example("c label 1 NaN\nc label 2 ('v', 1)\np tw 2 0\n")
+@example("c label 1 Infinity\nc label 2 ('v', 1)\np tw 2 0\n")
+@example("c label 1 1e5\nc label 2 ('v', 1)\np tw 2 0\n")
+@example("c label 1 1.0\nc label 2 ('v', 1)\np tw 2 0\n")
+@example('c label 1 "a"\nc label 2 (\'v\', 1)\np tw 2 0\n')
+@example("c label 1 ('a(b', 1)\nc label 2 ('v', 1)\np tw 2 0\n")
+@example('c label 1 ("it\'s", 1)\nc label 2 (\'v\', 1)\np tw 2 0\n')
+@example("c label 1 ((1, 2), 3)\nc label 2 ('v', 1)\np tw 2 0\n")
+@example("c label 1 {'a': 1}\nc label 2 ('v', 1)\np tw 2 0\n")
+@example("c label 1 [1\nc label 2 2]\np tw 2 0\n")  # two texts that join into one list
 def test_read_graph_matches_reference(tmp_path_factory, text):
     path = tmp_path_factory.getbasetemp() / "fuzz.gr"
     path.write_bytes(text.encode())
     _assert_same_graph_or_cap(path)
+
+
+LABEL_TEXTS = [
+    "null", "true", "NaN", "Infinity", "1e5", "1.0", '"a"', "('a(b', 1)", '("it\'s", 1)', "((1, 2), 3)", "{'a': 1}",
+    "('a,)', 1)", "(1,)", "()", "-0", "'a'", "7", "('v', 1)",
+]
+
+
+@pytest.mark.parametrize(
+    "texts", [[t] for t in LABEL_TEXTS] + [LABEL_TEXTS, LABEL_TEXTS[-6:], ["[1", "2]"], ["('v', 1)", "[1", "2]"]]
+)
+def test_label_texts_read_as_label_reads_each(texts):
+    def read(how):
+        try:
+            return [(type(x), repr(x)) for x in how(texts)]
+        except Exception as exc:  # the class and message are compared, whatever they are
+            return type(exc), re.sub(r" at 0x[0-9a-f]+", " at 0x...", str(exc))
+
+    assert read(graphs._labels) == read(lambda texts: list(map(graphs._label, texts)))
+
+
+@pytest.mark.parametrize("name", sorted(GRAPHS))
+def test_generated_labels_take_the_one_parse(tmp_path, monkeypatch, name):
+    def refuse(text):
+        raise AssertionError(f"the one parse declined {text!r}")
+
+    graphs.write_graph(GRAPHS[name], tmp_path / "g.gr")
+    monkeypatch.setattr(graphs, "_label", refuse)
+    assert _graph_value(graphs.read_graph(tmp_path / "g.gr")) == _graph_value(GRAPHS[name])
 
 
 @pytest.fixture(scope="module")
