@@ -340,8 +340,7 @@ def _trace_moments(g: Graph, p_max: int, dtype) -> list:
             traces[2 * m] += int(np.vdot(x, x))
             if 2 * m < p_max:
                 y = np.zeros_like(x)
-                if rows.size:
-                    y[rows] = np.add.reduceat(np.take(x, indices, axis=0), starts, axis=0)
+                y[rows] = np.add.reduceat(np.take(x, indices, axis=0), starts, axis=0)
                 traces[2 * m + 1] += int(np.vdot(x, y))
                 x = y
     return traces

@@ -89,15 +89,13 @@ class Decomposition:
 
     @property
     def width(self) -> int:
-        """Max raw bag size minus one.
+        """Max raw bag size minus one; -1 when there are no bags.
 
         Bags built by this package are duplicate-free; for foreign
         files with repeated entries the validator's reported width is
         the authoritative (deduplicated) one.
         """
-        if self.num_bags == 0:
-            return -1
-        return int(np.diff(self.offsets).max()) - 1
+        return int(np.diff(self.offsets).max(initial=0)) - 1
 
     def shape_edges(self) -> np.ndarray:
         if self.tree_edges is not None:

@@ -21,10 +21,10 @@ workers.
 
 from __future__ import annotations
 
-import ast
 import itertools
 import json
 import math
+from ast import literal_eval
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -102,7 +102,7 @@ class Graph:
 
     def _csr(self):
         if self._indptr is None:
-            both = np.concatenate([self.edges, self.edges[:, ::-1]]) if self.num_edges else np.zeros((0, 2), np.int64)
+            both = np.concatenate([self.edges, self.edges[:, ::-1]])
             order = np.lexsort((both[:, 1], both[:, 0]))
             both = both[order]
             counts = np.bincount(both[:, 0], minlength=self.n)
@@ -145,9 +145,8 @@ class Graph:
 
     def adjacency_matrix(self, dtype=np.int64) -> np.ndarray:
         a = np.zeros((self.n, self.n), dtype=dtype)
-        if self.num_edges:
-            a[self.edges[:, 0], self.edges[:, 1]] = 1
-            a[self.edges[:, 1], self.edges[:, 0]] = 1
+        a[self.edges[:, 0], self.edges[:, 1]] = 1
+        a[self.edges[:, 1], self.edges[:, 0]] = 1
         return a
 
     # -- labels ----------------------------------------------------------
@@ -396,47 +395,20 @@ def write_graph(g: Graph, path) -> None:
         dump_graph(g, fh)
 
 
-def _atom(text: str):
-    """A tuple item of a label text: a single-quoted str or an int (:func:`_label` checks it)."""
-    return text[1:-1] if text.startswith("'") else int(text)
-
-
-def _label(text: str):
-    """The Python literal ``text``, as :func:`ast.literal_eval` reads it.
-
-    Every generated family labels its vertices with ints, strs or flat
-    tuples of them, written as their ``repr``. Such a text is split
-    directly, and the value is kept only when its ``repr`` is ``text``
-    again: ``literal_eval(repr(x)) == x`` for these values, so the value
-    is the one ``literal_eval`` would return. Any other text goes to
-    ``literal_eval``, about ten times slower.
-    """
-    try:
-        if text.startswith("(") and text.endswith(")"):
-            value = tuple(map(_atom, text[1:-1].rstrip(",").split(", ")))
-        else:
-            value = _atom(text)
-        if repr(value) == text:
-            return value
-    except ValueError:
-        pass
-    return ast.literal_eval(text)
-
-
 # a label text as JSON: tuples as arrays, single-quoted strs as double-quoted ones
 _AS_JSON = str.maketrans("()'", '[]"')
 
 
 def _labels(texts: list) -> list:
-    """The values of the label texts ``texts``, each as :func:`_label` reads it.
+    """The values of the label texts ``texts``, each as :func:`ast.literal_eval` reads it.
 
     All texts are parsed by one :func:`json.loads` of their JSON forms
     (a 1-tuple's ``,)`` as ``)``) joined into one array, with each
     top-level array read back as a tuple. The values are kept only if
-    ``list(map(repr, values)) == texts``: that is :func:`_label`'s own
-    test, and comparing whole lists also proves that there is one value
-    per text. Otherwise every text goes through :func:`_label`, whose
-    errors propagate.
+    ``list(map(repr, values)) == texts``, which also proves one value
+    per text: they are then ints, floats, strs or flat tuples of them,
+    for which ``literal_eval(repr(x)) == x``. Otherwise every text goes
+    through ``literal_eval``, whose errors propagate.
     """
     try:
         values = json.loads("[" + ",".join(texts).replace(",)", ")").translate(_AS_JSON) + "]")
@@ -445,7 +417,7 @@ def _labels(texts: list) -> list:
             return values
     except (ValueError, RecursionError):
         pass
-    return list(map(_label, texts))
+    return list(map(literal_eval, texts))
 
 
 # the longest number token the scan reads; every 18-digit number fits int64
@@ -615,11 +587,11 @@ def read_graph(path) -> Graph:
     printable ASCII, tabs, LFs and CRs whose numbers are plain runs of
     at most 18 digits is read by one byte scan (:func:`_scan_tokens`),
     which checks the edge lines as arrays and reads all label texts in
-    one checked parse (:func:`_labels`); it holds the file's bytes and
-    a few bytes of arrays per byte and per token. Any other file, and every file
-    with a fault, is read by the line loop, which holds one line at a
-    time plus a Python tuple per edge, and raises each error reported
-    here.
+    one checked parse that falls back to ``literal_eval``
+    (:func:`_labels`); it holds the file's bytes and a few bytes of
+    arrays per byte and per token. Any other file, and every file with
+    a fault, is read by the line loop, which holds one line at a time
+    plus a Python tuple per edge, and raises each error reported here.
     """
     with open(path, "rb") as fh:
         g = _scan_graph(fh.read())
@@ -644,7 +616,7 @@ def _read_graph_lines(path) -> Graph:
                 if len(parts) == 4 and parts[1] == "label":
                     try:
                         vertex = int(parts[2]) - 1
-                        label = _label(parts[3])
+                        label = literal_eval(parts[3])
                         hash(label)
                     except (ValueError, SyntaxError, TypeError) as exc:
                         raise ParseError(f"bad label comment: {exc}", lineno)

@@ -178,15 +178,14 @@ def exact_bandwidth(g: Graph):
     tried by an exhaustive layout search (see ``_first_layout``); the
     first feasible b is the bandwidth and its lexicographically
     smallest layout is the order. When no width below the incumbent is
-    feasible the BFS layout is returned as is.
+    feasible the BFS layout is returned as is: for an edgeless graph,
+    width 0 and the identity order.
     Returns ``(bw, order)``.
     """
     n = g.num_vertices
     _check_cap("exact bandwidth", n, BW_CAP)
     if n == 0:
         raise ParameterError("bandwidth of the empty graph is undefined")
-    if g.num_edges == 0:
-        return 0, list(range(n))
 
     best, best_order = n, None  # every layout is narrower than n
     pos = np.empty(n, dtype=np.int64)
@@ -201,7 +200,7 @@ def exact_bandwidth(g: Graph):
                     seen.append(u)
         seen += [v for v in range(n) if not reached[v]]
         pos[seen] = np.arange(n)
-        w = int(np.abs(pos[g.edges[:, 0]] - pos[g.edges[:, 1]]).max())
+        w = int(np.abs(pos[g.edges[:, 0]] - pos[g.edges[:, 1]]).max(initial=0))
         if w < best:
             best, best_order = w, seen
 

@@ -162,7 +162,9 @@ def _job_hales(t: int, n: int) -> list:
     bv = hales_report.bv
     recs.append(_rec(f"hales t={t} n={n} max_bv_vs_bw", int(max(bv[1:])), widthcalc.bw_closed(t, n)))
     pw, _ = oracles.exact_pathwidth(g)
-    recs.append(_rec_cmp(f"hales t={t} n={n} pw_dominates_bv", all(pw >= int(bv[s]) for s in range(1, g.num_vertices + 1)), "pw >= b_v(s) for all s", "pw >= b_v(s) for all s"))
+    low = next((s for s in range(1, g.num_vertices + 1) if pw < int(bv[s])), None)  # the first s that breaks the claim
+    claim = "pw >= b_v(s) for all s"
+    recs.append(_rec_cmp(f"hales t={t} n={n} pw_dominates_bv", low is None, claim if low is None else f"pw={pw} < b_v({low})={int(bv[low])}", claim))
     return recs
 
 
@@ -276,7 +278,8 @@ def _job_kneser_core() -> list:
     recs.append(_rec("kneser fillin_width_vs_tw", cert.omega - 1, twj))
     merged = decomp.bk_prime(5, 2, cert)
     omega = decomp.peo_clique_number(merged.graph, merged.peo)  # raises unless merged.peo is perfect
-    recs.append(_rec_cmp("kneser bk_prime_chordal", omega == merged.omega, "chordal", "chordal"))
+    chordal = omega == merged.omega
+    recs.append(_rec_cmp("kneser bk_prime_chordal", chordal, "chordal" if chordal else f"omega={omega} != claimed {merged.omega}", "chordal"))
     recs.append(_rec_cmp("kneser bk_prime_covers_tw", omega - 1 >= twbk, f"omega-1={omega - 1} >= tw(BK)={twbk}", "omega-1 >= tw(BK)"))
     return recs
 
@@ -285,7 +288,7 @@ def _job_kneser_matching(n: int, k: int) -> list:
     g = graphs.gen_bipartite_kneser(n, k)
     matching = oracles.bipartite_perfect_matching(g)
     ok = matching is not None and len(matching) * 2 == g.num_vertices
-    return [_rec_cmp(f"kneser matching n={n} k={k}", ok, "perfect", "perfect")]
+    return [_rec_cmp(f"kneser matching n={n} k={k}", ok, "perfect" if ok else "not perfect", "perfect")]
 
 
 def _job_kneser_star() -> list:
@@ -327,10 +330,13 @@ def _job_limits(k_lo: int, k_hi: int) -> list:
     ratios = {}
     for k in range(k_lo, k_hi + 1):
         ratios[k] = Fraction(widthcalc.johnson_slice_bandwidth(2 * k + 1, k), widthcalc.binom_ext(2 * k + 1, k))
-    in_window = all(Fraction(2, 5) <= r <= Fraction(3, 5) for r in ratios.values())
-    recs.append(_rec_cmp(f"limits window k={k_lo}..{k_hi}", in_window, "all ratios in [0.40, 0.60]", "all ratios in [0.40, 0.60]"))
-    dist = [abs(ratios[k] - Fraction(1, 2)) for k in range(k_lo, k_hi + 1)]
-    recs.append(_rec_cmp(f"limits monotone k={k_lo}..{k_hi}", all(a >= b for a, b in zip(dist, dist[1:])), "distance to 1/2 non-increasing", "distance to 1/2 non-increasing"))
+    out = next((k for k, r in ratios.items() if not Fraction(2, 5) <= r <= Fraction(3, 5)), None)
+    claim = "all ratios in [0.40, 0.60]"
+    recs.append(_rec_cmp(f"limits window k={k_lo}..{k_hi}", out is None, claim if out is None else f"k={out} ratio={ratios[out]} outside [0.40, 0.60]", claim))
+    dist = {k: abs(r - Fraction(1, 2)) for k, r in ratios.items()}
+    rise = next((k for k in range(k_lo + 1, k_hi + 1) if dist[k] > dist[k - 1]), None)
+    claim = "distance to 1/2 non-increasing"
+    recs.append(_rec_cmp(f"limits monotone k={k_lo}..{k_hi}", rise is None, claim if rise is None else f"distance to 1/2 rises at k={rise}: {dist[rise - 1]} < {dist[rise]}", claim))
     return recs
 
 
@@ -364,7 +370,9 @@ def _job_consistency(name: str) -> list:
         bw, _ = oracles.exact_bandwidth(g)
         recs.append(_rec_cmp(f"consistency {name} pw_le_bw", pw <= bw, f"pw={pw} <= bw={bw}", "pw <= bw"))
         recs.append(_rec_cmp(f"consistency {name} maxbv_le_bw", int(max(bv[1:])) <= bw, f"max b_v={int(max(bv[1:]))} <= bw={bw}", "max b_v <= bw"))
-    recs.append(_rec_cmp(f"consistency {name} pw_ge_bv", all(pw >= int(bv[s]) for s in range(1, g.num_vertices + 1)), "pw >= b_v(s) for all s", "pw >= b_v(s) for all s"))
+    low = next((s for s in range(1, g.num_vertices + 1) if pw < int(bv[s])), None)  # the first s that breaks the claim
+    claim = "pw >= b_v(s) for all s"
+    recs.append(_rec_cmp(f"consistency {name} pw_ge_bv", low is None, claim if low is None else f"pw={pw} < b_v({low})={int(bv[low])}", claim))
     quarter = [int(bv[s]) for s in range(math.ceil(g.num_vertices / 4), g.num_vertices // 2 + 1)]
     if quarter:
         c = min(quarter)
@@ -568,7 +576,7 @@ TABLE_FORMULAS = {
 
 
 def emit_table(formula: str, grid: dict, fmt: str, stream) -> None:
-    """Write one formula table over a parameter grid as CSV or JSON."""
+    """Write one formula table over a parameter grid as CSV or JSON; a grid that yields no row is refused."""
     if formula not in TABLE_FORMULAS:
         raise ParameterError(f"unknown formula {formula!r}; known: {sorted(TABLE_FORMULAS)}")
     gen, needed = TABLE_FORMULAS[formula]
@@ -576,11 +584,11 @@ def emit_table(formula: str, grid: dict, fmt: str, stream) -> None:
     if missing:
         raise ParameterError(f"formula {formula} needs grid axes {missing}")
     rows = list(gen(grid))
+    if not rows:
+        raise ParameterError(f"formula {formula} has no row on the grid {({axis: grid[axis] for axis in needed})}")
     if fmt == "json":
         json.dump(rows, stream, indent=1)
         stream.write("\n")
-        return
-    if not rows:
         return
     cols = list(rows[0])
     stream.write(",".join(cols) + "\n")

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from widthlab import cli, decomp, graphs, hales, oracles, suites, widthcalc
+from widthlab import bounds, cli, decomp, graphs, hales, oracles, suites, widthcalc
 from widthlab.errors import PreconditionError, UndefinedValueError
 
 
@@ -139,6 +139,14 @@ def test_bw_agreement(capsys):
         for v in [widthcalc.bw_closed(t, n)]
     )
     assert capsys.readouterr().out == expected
+
+
+def test_bw_disagreement_is_mismatch(monkeypatch, capsys):
+    monkeypatch.setattr(widthcalc, "bw_recursion", lambda t, n: widthcalc.bw_closed(t, n) + 1)
+    assert run(["bw", "--t", "1", "--n", "3:4"]) == 1
+    assert capsys.readouterr() == (
+        "t=1 n=3 closed=4 recursion=5 direct=4 agree=False\nt=1 n=4 closed=7 recursion=8 direct=7 agree=False\n", "",
+    )
 
 
 def test_bw_direct_stops_where_the_middle_block_passes_the_cap(capsys):
@@ -314,6 +322,16 @@ def test_spectrum_json(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["moments_ok"] is True
     assert payload["spectral_lower_bound"] == 2
+
+
+def test_spectrum_moment_failure_is_mismatch(monkeypatch, tmp_path):
+    # six vertices like BK(3, 1), but the first moment is 2 + 2 - 1 - 2 = 1, not tr(A) = 0
+    wrong = bounds.Spectrum(((2, 1), (1, 2), (0, 1), (-1, 1), (-2, 1)))
+    monkeypatch.setattr(bounds, "bk_spectrum", lambda k: wrong)
+    out = tmp_path / "s.json"
+    assert run(["spectrum", "--k", "1", "--out", str(out)]) == 1
+    payload = json.loads(out.read_text())
+    assert (payload["moments_ok"], payload["failed_p"], payload["num_vertices"]) == (False, 1, 6)
 
 
 def test_oracle_json(tmp_path):
@@ -607,6 +625,7 @@ def test_table_petersen_bounds_refuses_k_below_one(k, capsys):
         ["petersen_bounds", "--n", "5", "--k", "0"],
         ["bw_closed", "--t", "0", "--n", "3"],
         ["radius_closed", "--t", "0:1", "--n", "4"],
+        ["bw_closed", "--t", "5", "--n", "3"],  # no row
     ],
 )
 def test_refused_table_leaves_out_file_untouched(tmp_path, grid):
@@ -614,6 +633,20 @@ def test_refused_table_leaves_out_file_untouched(tmp_path, grid):
     out.write_bytes(b"keep")
     assert run(["table", "--formula", *grid, "--out", str(out)]) == 2
     assert out.read_bytes() == b"keep"
+
+
+@pytest.mark.parametrize(
+    "grid,axes",
+    [
+        (["bw_closed", "--t", "5", "--n", "3"], "{'t': [5], 'n': [3]}"),  # t < n nowhere
+        (["radius_closed", "--t", "1:3", "--n", "2"], "{'t': [1, 2, 3], 'n': [2]}"),  # no radius tuple below n = 3
+        (["petersen_bounds", "--n", "1:2", "--k", "1"], "{'n': [1, 2], 'k': [1]}"),  # 2k >= n everywhere
+    ],
+)
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_table_grid_without_a_row_is_refused(capsys, grid, axes, fmt):
+    assert run(["table", "--formula", *grid, "--format", fmt]) == 2
+    assert capsys.readouterr() == ("", f"error: formula {grid[0]} has no row on the grid {axes}\n")
 
 
 def test_spectrum_formula_only_branch(tmp_path):

@@ -307,6 +307,20 @@ def test_vertex_cap_refuses_larger_members_before_building(monkeypatch, spec):
         graphs.generate(spec)
 
 
+@pytest.mark.parametrize(
+    "spec,direct",
+    [
+        (graphs.FamilySpec("hamming", t=2, q=3, n=3), lambda: graphs.gen_hamming(2, 3, 3)),
+        (graphs.FamilySpec("johnson", n=6, k=2), lambda: graphs.gen_johnson(6, 2)),
+        (graphs.FamilySpec("bipartite_kneser", n=5, k=2), lambda: graphs.gen_bipartite_kneser(5, 2)),
+        (graphs.FamilySpec("petersen", n=7, k=3), lambda: graphs.gen_petersen(7, 3)),
+    ],
+)
+def test_generate_builds_the_named_member(spec, direct):
+    g, h = graphs.generate(spec), direct()
+    assert (g.n, g.edges.tolist(), g.labels) == (h.n, h.edges.tolist(), h.labels)
+
+
 def test_graph_rejects_self_loops_and_duplicate_labels():
     with pytest.raises(ParameterError):
         graphs.Graph(3, [(0, 0)])

@@ -555,7 +555,30 @@ def test_label_texts_read_as_label_reads_each(texts):
         except Exception as exc:  # the class and message are compared, whatever they are
             return type(exc), re.sub(r" at 0x[0-9a-f]+", " at 0x...", str(exc))
 
-    assert read(graphs._labels) == read(lambda texts: list(map(graphs._label, texts)))
+    assert read(graphs._labels) == read(lambda texts: list(map(ast.literal_eval, texts)))
+
+
+# str pieces that the JSON form of a label text could misread
+_LABEL_STRS = st.lists(st.sampled_from(["'", '"', "(", ")", ",)", ",", ", ", "\\", "\\n", "\n", "\x00", "a", "é"]), max_size=6)
+_LITERALS = st.recursive(
+    st.integers(-(2**70), 2**70) | _LABEL_STRS.map("".join) | st.floats() | st.booleans() | st.none(),
+    lambda inner: st.lists(inner, max_size=3).map(tuple),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_LITERALS.map(repr), min_size=1, max_size=6))
+@example(["nan"])  # floats whose repr literal_eval refuses
+@example(["('v', 1)", "-inf"])
+def test_labels_match_literal_eval_on_reprs(texts):
+    def read(how):
+        try:
+            return [(type(x), repr(x)) for x in how(texts)]
+        except Exception as exc:
+            return type(exc)
+
+    assert read(graphs._labels) == read(lambda texts: list(map(ast.literal_eval, texts)))
 
 
 @pytest.mark.parametrize("name", sorted(GRAPHS))
@@ -564,7 +587,7 @@ def test_generated_labels_take_the_one_parse(tmp_path, monkeypatch, name):
         raise AssertionError(f"the one parse declined {text!r}")
 
     graphs.write_graph(GRAPHS[name], tmp_path / "g.gr")
-    monkeypatch.setattr(graphs, "_label", refuse)
+    monkeypatch.setattr(graphs, "literal_eval", refuse)
     assert _graph_value(graphs.read_graph(tmp_path / "g.gr")) == _graph_value(GRAPHS[name])
 
 

@@ -1,10 +1,11 @@
 """Every named suite runs clean (or flags only its documented anomalies)."""
 
+import dataclasses
 from collections import Counter
 
 import pytest
 
-from widthlab import bounds, graphs, suites
+from widthlab import bounds, decomp, graphs, oracles, suites, widthcalc
 from widthlab.errors import ParameterError
 
 
@@ -145,3 +146,52 @@ def test_petersen_bramble_jobs_build_no_frozenset(monkeypatch):
     monkeypatch.setattr(graphs.Graph, "neighbor_masks", refuse)
     for n in (10, 20, 61):
         assert [r.instance for r in suites._job_petersen(n, 0, 4)]
+
+
+def _slice_bandwidth_off_at_9(johnson_slice_bandwidth):
+    return lambda n, k: johnson_slice_bandwidth(n, k) // (5 if k == 9 else 1)  # ratio near 1/10 at k = 9
+
+
+def _claims_one_more(bk_prime):
+    def claims(n, k, cert):
+        merged = bk_prime(n, k, cert)
+        return dataclasses.replace(merged, omega=merged.omega + 1)
+
+    return claims
+
+
+# (instance, what to break, the job, how the failing lhs starts)
+_BROKEN_RECORDS = [
+    ("hales t=1 n=3 pw_dominates_bv", (oracles, "exact_pathwidth", lambda real: lambda g: (0, [])),
+     lambda: suites._job_hales(1, 3), "pw=0 < b_v(1)=3"),
+    ("consistency cycle-C4 pw_ge_bv", (oracles, "exact_pathwidth", lambda real: lambda g: (0, [])),
+     lambda: suites._job_consistency("cycle-C4"), "pw=0 < b_v(1)=2"),
+    ("kneser matching n=5 k=2", (oracles, "bipartite_perfect_matching", lambda real: lambda g: None),
+     lambda: suites._job_kneser_matching(5, 2), "not perfect"),
+    ("kneser bk_prime_chordal", (decomp, "bk_prime", _claims_one_more),
+     suites._job_kneser_core, "omega=8 != claimed 9"),
+    ("limits window k=8..10", (widthcalc, "johnson_slice_bandwidth", _slice_bandwidth_off_at_9),
+     lambda: suites._job_limits(8, 10), "k=9 ratio=10135/92378 outside [0.40, 0.60]"),
+    ("limits monotone k=8..10", (widthcalc, "johnson_slice_bandwidth", _slice_bandwidth_off_at_9),
+     lambda: suites._job_limits(8, 10), "distance to 1/2 rises at k=9: 134/2431 < 18027/46189"),
+]
+
+
+@pytest.mark.parametrize("instance,broken,job,names", _BROKEN_RECORDS, ids=[case[0] for case in _BROKEN_RECORDS])
+def test_failing_record_names_what_failed(monkeypatch, instance, broken, job, names):
+    [passing] = [r for r in job() if r.instance == instance]
+    assert passing.equal and passing.lhs == passing.rhs
+    module, name, breaking = broken
+    monkeypatch.setattr(module, name, breaking(getattr(module, name)))
+    [failing] = [r for r in job() if r.instance == instance]
+    assert not failing.equal and failing.rhs == passing.rhs
+    assert failing.lhs != failing.rhs and failing.lhs.startswith(names)
+
+
+def test_harper_record_reports_over_claims(monkeypatch):
+    [record] = suites._job_harper(1, 4)
+    assert record.equal and record.lhs == "no over-claims"
+    monkeypatch.setattr(widthcalc, "harper_lower_bound", lambda t, q, n, m: 99)
+    [record] = suites._job_harper(1, 4)
+    assert not record.equal and record.rhs == "no over-claims"
+    assert record.lhs.startswith("over-claims at [(1, 99, 4), (2, 99, ")
