@@ -3,9 +3,9 @@
 The double-cycle bramble puts, at every start position i, a window of
 t+1 consecutive outer vertices plus the t+1 inner vertices reachable by
 skip steps from the window's end, with t = ceil(n / (2k+2)). Its sets
-stay one (n, 2t+2) int64 index matrix from construction to verdict:
-``Bramble.sets`` builds a frozenset only when a caller indexes or
-iterates it. A bramble is validated on python int bitmasks, one per set
+are the rows of one (n, 2t+2) int64 index matrix, and that matrix
+is ``Bramble.sets`` itself: no frozenset view of it exists. A bramble
+is validated on python int bitmasks, one per set
 and one per vertex neighbourhood, so its host graph is capped at
 ``BITSET_MAX_VERTICES`` (4096) vertices. A bramble that carries a
 claimed rotation (as the window bramble does) is validated once per
@@ -19,7 +19,7 @@ compared with their images under the rotation) and builds neighbourhood
 masks for set 0's members only. A failed symmetry check raises
 :class:`StructuralError` rather than falling back to that scan, which
 stays the route for sets without a rotation. The transversal bounds
-here and in ``oracles.exact_transversal`` take plain set families such
+here and in ``oracles.exact_transversal`` take any set family, such
 as ``Bramble.sets``. Claimed spectra are checked against integer trace
 moments in exact arithmetic rather than by floating point eigensolvers.
 The traces tr(A^p), p = 0..p_max, come from column blocks X = A^m[:, C]
@@ -39,7 +39,6 @@ spectrum certificate).
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from collections import Counter
@@ -81,9 +80,11 @@ class Bramble:
     ``rotation``, when given, claims a host automorphism (``rotation[v]``
     is the image of vertex v) that maps set i onto set i+1, indices mod
     the number of sets; :func:`validate_bramble` checks the claim.
+    ``sets`` may be an int64 index matrix, one row per set; such a Bramble
+    is not hashable or comparable by value (the dataclass methods see an array).
     """
 
-    sets: Sequence  # of frozensets of vertex ids
+    sets: Sequence | np.ndarray  # vertex-id collections, or an index matrix with one row per set
     rotation: tuple | None = None  # vertex permutation, or None
 
 
@@ -94,46 +95,12 @@ class BrambleReport:
     first_nontouching: tuple | None = None  # pair of set indices
 
 
-class _SetRows(Sequence):
-    """A set family kept as one int64 index matrix ``rows``, one row per set.
-
-    Items and slices are frozensets (a slice is a tuple of them), built
-    from the rows on access. The orbit route of :func:`validate_bramble`
-    refuses rows that repeat an id.
-    """
-
-    def __init__(self, rows):
-        self.rows = rows
-
-    def __len__(self):
-        return len(self.rows)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(frozenset(row) for row in self.rows[i].tolist())
-        return frozenset(self.rows[i].tolist())
-
-    def __eq__(self, other):
-        return isinstance(other, Sequence) and tuple(self) == tuple(other)
-
-    def __hash__(self):
-        return hash(tuple(self))
-
-    @functools.cached_property
-    def distinct(self) -> tuple:
-        """Each row sorted, and the mask of its first occurrences of each id."""
-        rows = np.sort(self.rows, axis=1)
-        first = np.ones(rows.shape, dtype=bool)
-        np.not_equal(rows[:, 1:], rows[:, :-1], out=first[:, 1:])
-        return rows, first
-
-
 def petersen_bramble(n: int, k: int) -> Bramble:
     """Window bramble of the double-cycle graph on v_1..v_n, u_1..u_n.
 
     Set i holds v_i..v_{i+t} and u_{i+t+jk} for j = 0..t (indices mod
     n), with t = ceil(n / (2k+2)); every set has 2t+2 vertices. The sets
-    are kept as one (n, 2t+2) index matrix (module docstring).
+    are the rows of one (n, 2t+2) int64 index matrix (module docstring).
     """
     if not (k >= 1 and 2 * k < n):
         raise ParameterError(f"need 1 <= k < n/2, got n={n} k={k}")
@@ -141,7 +108,7 @@ def petersen_bramble(n: int, k: int) -> Bramble:
     i, j = np.arange(n)[:, None], np.arange(t + 1)
     rows = np.concatenate([(i + j) % n, n + (i + t + j * k) % n], axis=1)  # 0-based start i
     step = (np.arange(n) + 1) % n  # rho: v_j -> v_{j+1}, u_j -> u_{j+1}
-    return Bramble(_SetRows(rows), rotation=tuple(np.concatenate([step, n + step]).tolist()))
+    return Bramble(rows, rotation=tuple(np.concatenate([step, n + step]).tolist()))
 
 
 def _mask_and_closure(s, n: int, nbrs: list, single: list) -> tuple:
@@ -202,7 +169,8 @@ def _validate_orbit(g: Graph, bramble: Bramble) -> BrambleReport:
     tests its closure against sets 1..m-1: S_i and S_j touch exactly when
     S_0 and S_{j-i} do, so the first failing pair of the full scan is
     (0, least failing j). Only set 0's members get neighbourhood masks,
-    read off the edges with both ends in set 0.
+    read off the edges with both ends in set 0. An ndarray ``sets`` is
+    the index matrix itself; any other family is copied into one.
     """
     n, sets = g.num_vertices, bramble.sets
     rho = np.array(bramble.rotation)
@@ -213,16 +181,16 @@ def _validate_orbit(g: Graph, bramble: Bramble) -> BrambleReport:
     keys = np.sort(image.min(axis=1) * n + image.max(axis=1))
     if not np.array_equal(keys, g.edges[:, 0] * n + g.edges[:, 1]):  # g.edges holds sorted distinct (lo, hi)
         raise StructuralError("claimed rotation does not map the edge set onto itself")
-    if not sets:
+    if not len(sets):
         return BrambleReport(True)
-    if not isinstance(sets, _SetRows):  # sets of one size fill an index matrix
+    if not isinstance(sets, np.ndarray):  # sets of one size fill an index matrix
         size = len(sets[0])
         if any(len(s) != size for s in sets):
             raise StructuralError("orbit sets differ in size")
         rows = np.fromiter(itertools.chain.from_iterable(sets), dtype=np.int64, count=len(sets) * size)
-        sets = _SetRows(rows.reshape(len(sets), size))
-    rows, first = sets.distinct
-    if not first.all():
+        sets = rows.reshape(len(sets), size)
+    rows = np.sort(sets, axis=1)
+    if (rows[:, 1:] == rows[:, :-1]).any():  # neighbours in a sorted row
         raise StructuralError("an orbit set repeats a vertex id")
     if rows.size and (rows.min() < 0 or rows.max() >= n):
         raise ParameterError("vertex id out of range")
@@ -255,7 +223,7 @@ def transversal_fraction_bound(sets) -> Fraction:
         raise ParameterError("transversal bound needs a non-empty set family")
     if not all(sets):
         raise ParameterError("sets must be non-empty")
-    return Fraction(len(sets), max(Counter(v for s in sets for v in s).values()))
+    return Fraction(len(sets), max(Counter(itertools.chain.from_iterable(sets)).values()))
 
 
 def petersen_order_lower_bound(n: int, k: int) -> int:

@@ -166,7 +166,7 @@ def _cmd_bramble(args) -> int:
         "first_disconnected": report.first_disconnected,
         "first_nontouching": report.first_nontouching,
         "set_size": len(bramble.sets[0]),
-        "fraction_bound": str(bounds.transversal_fraction_bound(bramble.sets)),
+        "fraction_bound": str(bounds.transversal_fraction_bound(bramble.sets.tolist())),
     }
     try:
         payload["order_lower_bound"] = bounds.petersen_order_lower_bound(n, k)

@@ -19,6 +19,8 @@ from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from fractions import Fraction
 
+import numpy as np
+
 from . import bounds, decomp, graphs, hales, oracles, widthcalc
 from .errors import ParameterError
 
@@ -226,8 +228,8 @@ def _job_petersen(n: int, k_max: int, bramble_k_max: int) -> list:
         if bramble:
             br = bounds.petersen_bramble(n, k)
             t = -(-n // (2 * k + 2))
-            rows, first = br.sets.distinct  # each row sorted; a repeated id is not a first occurrence
-            sizes_ok = rows.shape[1] == 2 * t + 2 and bool(first.all())
+            rows = np.sort(br.sets, axis=1)  # a repeated id sits beside itself
+            sizes_ok = rows.shape[1] == 2 * t + 2 and not (rows[:, 1:] == rows[:, :-1]).any()
             rep = bounds.validate_bramble(g, br)
             known = (not rep.ok) and (n, k) in KNOWN_BRAMBLE_GAPS and rep.first_nontouching is not None
             recs.append(

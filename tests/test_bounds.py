@@ -151,7 +151,7 @@ def test_bramble_shape_small():
     b = bounds.petersen_bramble(5, 2)
     assert len(b.sets) == 5
     assert all(len(s) == 4 for s in b.sets)  # t = 1, sizes 2t+2
-    assert b.sets[0] == {0, 1, 6, 8}  # v_1, v_2 and u_2, u_4
+    assert set(b.sets[0].tolist()) == {0, 1, 6, 8}  # v_1, v_2 and u_2, u_4
     assert b.rotation == _rotation(5)
 
 
@@ -225,6 +225,8 @@ _P52 = graphs.gen_petersen(5, 2)
 @example((_P52, bounds.Bramble((frozenset({0, 1}), frozenset({0, 2})))))  # the second set is disconnected
 @example((_P52, bounds.Bramble((frozenset({0, 1, 2}), frozenset({3}), frozenset({7})))))  # only (1, 2) does not touch
 @example((graphs.Graph(1, []), bounds.Bramble((frozenset({0}),))))
+@example((_P52, bounds.Bramble(bounds.petersen_bramble(5, 2).sets)))  # an index matrix on the pair scan
+@example((graphs.gen_petersen(20, 4), bounds.Bramble(bounds.petersen_bramble(20, 4).sets)))  # fails at (0, 7)
 def test_bramble_validator_matches_reference(case):
     g, bramble = case
     assert bounds.validate_bramble(g, bramble) == _validate_bramble_ref(g, bramble)
@@ -275,6 +277,7 @@ def orbit_cases(draw):
 @example((graphs.gen_petersen(9, 2), _orbit({0}, _rotation(9), 9), _rotation(9)))  # (0, 2) does not touch
 @example((graphs.gen_petersen(9, 2), _orbit((), _rotation(9), 9), _rotation(9)))  # empty sets
 @example((graphs.gen_petersen(9, 2), (), _rotation(9)))  # no sets
+@example((graphs.gen_petersen(9, 2), np.zeros((0, 4), dtype=np.int64), _rotation(9)))  # no sets, as an index matrix
 def test_orbit_route_matches_generic(case):
     g, sets, rho = case
     report = bounds.validate_bramble(g, bounds.Bramble(sets, rotation=rho))
@@ -311,14 +314,15 @@ def test_orbit_route_refuses_a_false_symmetry():
     refused(five, swap, "set i onto set i[+]1", host=graphs.gen_petersen(5, 2))
     refused(five, swap, "edge set", host=graphs.gen_petersen(5, 1))
     # sets that are not one orbit
-    perturbed = list(bramble.sets)
+    as_sets = [frozenset(row) for row in bramble.sets.tolist()]
+    perturbed = list(as_sets)
     perturbed[5] = perturbed[5] - {min(perturbed[5])} | {23 - min(perturbed[5])}
     refused(tuple(perturbed), rho, "set i onto set i[+]1")
-    swapped = list(bramble.sets)
+    swapped = list(as_sets)
     swapped[2], swapped[3] = swapped[3], swapped[2]
     refused(tuple(swapped), rho, "set i onto set i[+]1")
     refused(bramble.sets[:-1], rho, "set i onto set i[+]1")  # one set short of the orbit
-    shrunk = list(bramble.sets)
+    shrunk = list(as_sets)
     shrunk[4] = shrunk[4] - {min(shrunk[4])}
     refused(tuple(shrunk), rho, "differ in size")
     # ids out of range are refused as on the generic route, and the host cap holds
@@ -350,10 +354,8 @@ def test_window_family_reads_as_frozensets(case):
     n, k = case
     family = bounds.petersen_bramble(n, k).sets
     expected = _window_sets(n, k)
-    assert isinstance(family.rows, np.ndarray) and family.rows.dtype == np.int64
-    assert len(family) == n and tuple(family) == expected and family == expected
-    assert family[0] == expected[0] and family[-1] == expected[-1]
-    assert family[1:3] == expected[1:3] and family[::-1] == expected[::-1]
+    assert isinstance(family, np.ndarray) and family.dtype == np.int64 and family.shape == (n, len(expected[0]))
+    assert [frozenset(row) for row in family.tolist()] == list(expected)
 
 
 @settings(max_examples=100, deadline=None)
@@ -365,7 +367,7 @@ def test_window_family_reads_as_frozensets(case):
 def test_array_backed_orbit_route_matches_frozensets_and_pair_scan(case):
     n, k = case
     g, bramble = graphs.gen_petersen(n, k), bounds.petersen_bramble(n, k)
-    sets = tuple(bramble.sets)
+    sets = tuple(frozenset(row) for row in bramble.sets.tolist())
     report = bounds.validate_bramble(g, bramble)
     assert report == bounds.validate_bramble(g, bounds.Bramble(sets, rotation=bramble.rotation))
     assert report == bounds.validate_bramble(g, bounds.Bramble(sets))
@@ -378,9 +380,9 @@ def test_array_backed_orbit_route_refuses_what_the_frozenset_route_refuses():
     bramble = bounds.petersen_bramble(12, 2)
 
     def validate(rows, host=g, rotation=bramble.rotation):
-        return bounds.validate_bramble(host, bounds.Bramble(bounds._SetRows(np.asarray(rows, dtype=np.int64)), rotation))
+        return bounds.validate_bramble(host, bounds.Bramble(np.asarray(rows, dtype=np.int64), rotation))
 
-    rows = bramble.sets.rows
+    rows = bramble.sets
     shifted = rows.copy()
     shifted[5, 0] = 23 - shifted[5, 0]  # still 2t+2 distinct ids, but not rho of row 4
     assert len(set(shifted[5])) == rows.shape[1]
@@ -405,7 +407,9 @@ def test_array_backed_orbit_route_refuses_what_the_frozenset_route_refuses():
 def test_transversal_fraction_examples():
     single = (frozenset({0, 1}),)
     assert bounds.transversal_fraction_bound(single) == 1
-    assert bounds.transversal_fraction_bound(bounds.petersen_bramble(288, 1).sets) == Fraction(288, 73)
+    window = bounds.petersen_bramble(288, 1).sets
+    for family in (window, window.tolist(), _window_sets(288, 1)):
+        assert bounds.transversal_fraction_bound(family) == Fraction(288, 73)
     with pytest.raises(ParameterError):
         bounds.transversal_fraction_bound(())
 
@@ -413,6 +417,8 @@ def test_transversal_fraction_examples():
 @pytest.mark.parametrize("n,k", [(5, 2), (7, 2), (8, 3)])
 def test_fraction_bound_below_exact_transversal(n, k):
     sets = bounds.petersen_bramble(n, k).sets
+    for bound in (bounds.transversal_fraction_bound, oracles.exact_transversal):  # the matrix, its lists, frozensets
+        assert bound(sets) == bound(sets.tolist()) == bound(_window_sets(n, k))
     assert bounds.transversal_fraction_bound(sets) <= oracles.exact_transversal(sets)
 
 

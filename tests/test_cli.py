@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -309,6 +310,23 @@ def test_bramble_json_of_a_known_gap(capsys):
         "order_lower_bound": None,
         "order_bound_note": "bound needs n >= 8(2k+2)^2 = 800, got n=20",
     }, indent=1) + "\n"
+
+
+@pytest.mark.parametrize("n,k", [(5, 2), (10, 4), (288, 1), (2048, 1)])
+def test_bramble_json_matches_closed_forms(capsys, n, k):
+    t = -(-n // (2 * k + 2))
+    valid = (n, k) not in suites.KNOWN_BRAMBLE_GAPS
+    assert run(["bramble", "--n", str(n), "--k", str(k)]) == (0 if valid else 1)
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["valid"] is valid
+    assert payload["set_size"] == 2 * t + 2
+    assert payload["fraction_bound"] == str(Fraction(n, t + 1))  # every vertex lies in exactly t+1 windows
+    need = 8 * (2 * k + 2) ** 2
+    if n >= need:
+        assert payload["order_lower_bound"] == -(-n // (t + 1)) and "order_bound_note" not in payload
+    else:
+        assert payload["order_lower_bound"] is None
+        assert payload["order_bound_note"] == f"bound needs n >= 8(2k+2)^2 = {need}, got n={n}"
 
 
 def test_bramble_above_bitset_cap_is_refused(capsys):

@@ -518,6 +518,7 @@ def _assert_same_graph_or_cap(path):
 @example("p tw 3 1\n1 " + "0" * 17 + "2\n")  # an 18-digit token
 @example("p tw 3 1\n1 " + "0" * 18 + "2\n")  # a 19-digit token
 @example("c made by \u00e9\np tw 2 1\n1 2\n")  # a non-ASCII byte inside a comment
+@example("c made by \u00e9\nc label 1 'a'\nc label 2 ('v', 1)\np tw 2 1\n1 2\n")  # labels the line loop reads
 @example("c only\nc label 1 'a'\n")  # comments only
 @example("")
 # texts that one JSON parse of all labels could misread, each beside a label it reads

@@ -124,9 +124,9 @@ def test_bramble_record_reads_sizes_off_for_a_repeated_id(monkeypatch):
 
     def repeated(n, k):
         bramble = petersen_bramble(n, k)
-        rows = bramble.sets.rows.copy()
+        rows = bramble.sets.copy()
         rows[:, 1] = rows[:, 0]  # every row repeats its first id
-        return bounds.Bramble(bounds._SetRows(rows))  # the orbit route refuses a repeated id; the pair scan takes it
+        return bounds.Bramble(rows)  # the orbit route refuses a repeated id; the pair scan takes it
 
     monkeypatch.setattr(bounds, "petersen_bramble", repeated)
     [record] = suites._job_petersen(30, 0, 1)
@@ -139,10 +139,8 @@ def test_bramble_record_reads_sizes_off_for_a_repeated_id(monkeypatch):
 
 def test_petersen_bramble_jobs_build_no_frozenset(monkeypatch):
     def refuse(*args):
-        raise AssertionError("a frozenset was built from the window matrix")
+        raise AssertionError("the window bramble took the pair scan")
 
-    monkeypatch.setattr(bounds._SetRows, "__getitem__", refuse)
-    monkeypatch.setattr(bounds._SetRows, "__iter__", refuse)
     monkeypatch.setattr(graphs.Graph, "neighbor_masks", refuse)
     for n in (10, 20, 61):
         assert [r.instance for r in suites._job_petersen(n, 0, 4)]
